@@ -53,6 +53,12 @@ from starbody.geometry import (
     volume_normalize,
 )
 
+from starbody.density import (
+    GaussianDensity,
+    SampleSet,
+    rho_analytic,
+    rho_empirical,
+)
 from starbody.optimizer import (
     ConvexityReport,
     OptimalBodyResult,

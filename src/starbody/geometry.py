@@ -18,13 +18,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 from scipy.special import gamma as gamma_fn
 from scipy.stats import norm, qmc
 
 NODE_NORM_TOL = 1e-12
 UNIT_INPUT_TOL = 1e-9
+# Dictionary polytopes: bodies whose facet count could exceed this (upper
+# bound theorem on their 2p vertices) use the per-point coding LP instead of
+# a Qhull facet description.  Real hulls have far fewer facets than the
+# bound: d = 8, p = 20 (bound 65450) has ~10^4 and builds in ~0.1 s on a
+# 2-core x86 VM, about 50 coding LPs' worth.
+MAX_HULL_FACETS = 100_000
+# relative gap within which facets count as active (tied) at a point
+FACET_TIE_RTOL = 1e-10
+# facet-gauge work is done in row blocks of about this many (point, facet) scores
+CHUNK_ENTRIES = 1 << 20
 
 
 class NumericalFailure(Exception):
@@ -64,6 +73,18 @@ def sphere_surface_area(dim: int) -> float:
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit Euclidean ball in R^dim."""
     return math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0 + 1.0)
+
+
+def _upper_bound_facets(n_vertices: int, dim: int) -> int:
+    """Most facets of a simplicial dim-polytope with n_vertices vertices.
+
+    McMullen's upper bound theorem (cyclic polytopes); it also bounds a
+    triangulated hull's facets, since Qhull's triangulation adds no vertices.
+    """
+    n, k = n_vertices, dim // 2
+    if dim % 2 == 0:
+        return n * math.comb(n - k, k) // (n - k)
+    return 2 * math.comb(n - k - 1, k)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -322,11 +343,17 @@ class EllipsoidBody(StarBody):
 
 
 class DictionaryPolytopeBody(StarBody):
-    """Linear image A(B_l1) of the l1 ball; gauge is the minimal l1 coding norm.
+    """Linear image A(B_l1) = conv(+-a_j) of the l1 ball.
 
-    The gauge of x is min ||z||_1 subject to A z = x, solved as a linear
-    program in the 2p nonnegative variables (z+, z-).  A must have full row
-    rank so that the body has the origin in its interior.
+    The gauge of x is the minimal l1 coding norm min ||z||_1 subject to
+    A z = x.  Since the body is a polytope, the constructor computes its
+    facet description once (Qhull, triangulated facets) and the gauge is
+    the closed form max_f <y_f, x> with y_f = n_f / b_f for the facet
+    hyperplanes <n_f, x> = b_f.  A body in R^1 is the interval
+    [-max|a_j|, max|a_j|] and gets its two "facets" directly.  A body
+    whose facet count could exceed MAX_HULL_FACETS (by the upper bound
+    theorem) solves the coding linear program per point instead.  A must
+    have full row rank so that the body has the origin in its interior.
     """
 
     def __init__(self, columns, lp_feas_tol: float = DEFAULT_TOLERANCES.lp_feas_tol) -> None:
@@ -344,24 +371,106 @@ class DictionaryPolytopeBody(StarBody):
         self.dim = d
         self.columns = _freeze(A)
         self.lp_feas_tol = float(lp_feas_tol)
-        self._a_eq = np.hstack([A, -A])
-        self._cost = np.ones(2 * p)
+        self._signed = _freeze(np.hstack([A, -A]))  # the 2p points +-a_j
+        # facet gradients y_f, shape (F, d), and each facet's d vertices as
+        # indices into the columns of _signed; None selects the LP path
+        self._facet_y = None
+        self._facet_vertices = None
+        if d == 1:
+            top = int(np.argmax(self._signed[0]))
+            self._facet_y = _freeze(np.array([[1.0], [-1.0]]) / self._signed[0, top])
+            self._facet_vertices = np.array([[top], [(top + p) % (2 * p)]])
+        elif _upper_bound_facets(2 * p, d) <= MAX_HULL_FACETS:
+            hull = ConvexHull(self._signed.T, qhull_options="Qt")
+            self._facet_y = _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
+            self._facet_vertices = hull.simplices
+        if self._facet_y is not None:
+            # Qt may split a non-simplicial facet into some zero-volume
+            # simplices; they keep their facet's hyperplane but cannot carry a
+            # code z, so they are never chosen to solve for one
+            verts = self._signed[:, self._facet_vertices].transpose(1, 0, 2)
+            hadamard = np.prod(np.linalg.norm(verts, axis=1), axis=1)
+            self._facet_solvable = np.abs(np.linalg.det(verts)) > 1e-12 * hadamard
 
     def gauge_certificate(self, x: np.ndarray):
-        """Gauge with LP primal/dual certificates.
+        """Gauge of one point with primal/dual certificates.
 
         Returns
         -------
         value : float
         z : ndarray, shape (p,)
-            Optimal signed coefficients (primal).
+            Signed coefficients with A z = x and ||z||_1 = value.
         y : ndarray, shape (d,)
-            Equality-constraint duals; the gauge's gradient in x.
+            A subgradient of the gauge at x, with ||A^T y||_inf <= 1 and
+            <y, x> = value.
         """
         x = np.asarray(x, dtype=float)
+        vals, Z, Y = self.gauge_certificate_many(x[None, :])
+        return float(vals[0]), Z[0], Y[0]
+
+    def gauge_certificate_many(self, points: np.ndarray):
+        """Gauges, primal codes z (n, p) and subgradients y (n, d) of many points.
+
+        On the facet path, y is the mean gradient of the active facets
+        (those within FACET_TIE_RTOL of the maximum), so a point on a
+        vertex or ridge gets the same symmetric subgradient whichever facet
+        rounding favours; z solves A z = x on an active facet whose cone
+        holds x.  Raises UnboundedGaugeError if a code misses A z = x by
+        more than lp_feas_tol.
+        """
+        points = np.asarray(points, dtype=float)
+        if self._facet_y is None:
+            parts = [self._lp_certificate(x) for x in points]
+            vals = np.array([q[0] for q in parts])
+            Z = np.array([q[1] for q in parts]).reshape(len(points), -1)
+            Y = np.array([q[2] for q in parts]).reshape(len(points), -1)
+        else:
+            chunks = [self._facet_certificates(points[rows]) for rows in self._chunks(len(points))]
+            vals = np.concatenate([c[0] for c in chunks])
+            Z = np.concatenate([c[1] for c in chunks])
+            Y = np.concatenate([c[2] for c in chunks])
+        resid = np.linalg.norm(Z @ self.columns.T - points, axis=1)
+        if np.any(resid > self.lp_feas_tol * (1.0 + np.linalg.norm(points, axis=1))):
+            raise UnboundedGaugeError("l1 coding violated feasibility tolerance")
+        return vals, Z, Y
+
+    def _chunks(self, n: int):
+        """Row slices that keep each (rows, facets) score block near CHUNK_ENTRIES."""
+        step = max(1, CHUNK_ENTRIES // len(self._facet_y))
+        return [slice(i, i + step) for i in range(0, max(n, 1), step)]
+
+    def _facet_certificates(self, X: np.ndarray):
+        n, d = X.shape
+        p = self.columns.shape[1]
+        S = X @ self._facet_y.T
+        vals = S.max(axis=1)
+        active = S >= (vals - FACET_TIE_RTOL * np.abs(vals))[:, None]
+        Y = (active @ self._facet_y) / active.sum(axis=1)[:, None]
+        facet = np.where(self._facet_solvable, S, -np.inf).argmax(axis=1)
+        verts = self._signed[:, self._facet_vertices[facet]].transpose(1, 0, 2)
+        lam = np.linalg.solve(verts, X[:, :, None])[:, :, 0]
+        # a triangulated facet shares its hyperplane with its neighbours; if
+        # the ray leaves the argmax simplex, take the active one it crosses
+        for i in np.flatnonzero(lam.min(axis=1) < -FACET_TIE_RTOL * vals):
+            cand = np.flatnonzero(active[i] & self._facet_solvable)
+            sols = [np.linalg.solve(self._signed[:, self._facet_vertices[f]], X[i]) for f in cand]
+            best = int(np.argmax([s.min() for s in sols]))
+            facet[i], lam[i] = cand[best], sols[best]
+        idx = self._facet_vertices[facet]
+        Z = np.zeros((n, p))
+        rows = np.repeat(np.arange(n), d)
+        np.add.at(Z, (rows, idx.ravel() % p), np.where(idx < p, lam, -lam).ravel())
+        return vals, Z, Y
+
+    def _lp_certificate(self, x: np.ndarray):
+        from scipy.optimize import linprog
+
+        p = self.columns.shape[1]
+        if not np.any(x):
+            return 0.0, np.zeros(p), np.zeros(self.dim)
         res = linprog(
-            self._cost,
-            A_eq=self._a_eq,
+            np.ones(2 * p),
+            A_eq=self._signed,
             b_eq=x,
             bounds=(0, None),
             method="highs",
@@ -370,23 +479,16 @@ class DictionaryPolytopeBody(StarBody):
             raise UnboundedGaugeError(
                 f"unbounded gauge: l1 coding LP failed (status {res.status})"
             )
-        p = self.columns.shape[1]
-        z = res.x[:p] - res.x[p:]
-        resid = np.linalg.norm(self.columns @ z - x)
-        if resid > self.lp_feas_tol * (1.0 + np.linalg.norm(x)):
-            raise UnboundedGaugeError("l1 coding LP violated feasibility tolerance")
-        y = np.asarray(res.eqlin.marginals, dtype=float)
-        return float(res.fun), z, y
+        # HiGHS equality marginals are d(value)/d(x): the gauge's gradient
+        return float(res.fun), res.x[:p] - res.x[p:], np.asarray(res.eqlin.marginals, dtype=float)
 
     def gauge_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        out = np.empty(points.shape[0])
-        for i, x in enumerate(points):
-            if not np.any(x):
-                out[i] = 0.0
-            else:
-                out[i] = self.gauge_certificate(x)[0]
-        return out
+        if self._facet_y is None:
+            return self.gauge_certificate_many(points)[0]
+        return np.concatenate(
+            [np.max(points[rows] @ self._facet_y.T, axis=1) for rows in self._chunks(len(points))]
+        )
 
 
 class UnionBody(StarBody):

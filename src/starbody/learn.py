@@ -1,11 +1,11 @@
 """Empirical risk minimization over parametric star-body families.
 
 Fitters for ellipsoids (projected gradient on the inverse-square matrix),
-dictionary polytopes (alternating LP sparse coding and dictionary descent),
-and unions of ellipsoids (min-gauge EM), plus the validation experiments:
-convergence to the population optimum, a uniform law-of-large-numbers probe,
-noise robustness against the smoothing bound, and train/held-out
-generalization gaps.
+dictionary polytopes (alternating facet-based sparse coding and dictionary
+descent), and unions of ellipsoids (min-gauge EM), plus the validation
+experiments: convergence to the population optimum, a uniform
+law-of-large-numbers probe, noise robustness against the smoothing bound,
+and train/held-out generalization gaps.
 
 Every fitter records a non-increasing risk trace (backtracking rejects any
 step that does not descend) and keeps the fitted body's minimal radius at or
@@ -15,8 +15,6 @@ above the configured inner width floor.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +31,7 @@ from starbody.density import (
 from starbody.geometry import (
     DictionaryPolytopeBody,
     EllipsoidBody,
+    NumericalFailure,
     SphericalGrid,
     StarBody,
     UnionBody,
@@ -47,14 +46,6 @@ from starbody.geometry import (
 from starbody.optimizer import optimal_body
 
 _FAMILIES = ("ellipsoid", "dictionary", "union_ellipsoids")
-
-
-def _thread_cap() -> int:
-    """Worker cap for per-sample LP solves, from STARBODY_THREADS."""
-    try:
-        return max(1, int(os.environ.get("STARBODY_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -298,36 +289,17 @@ def _spread_columns(X: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarr
     return U[chosen].T.copy()
 
 
-def _dictionary_certificates(body: DictionaryPolytopeBody, X: np.ndarray):
-    """Per-sample gauge value, LP primal, and gradient-signed dual."""
-
-    def solve(x):
-        val, z, y = body.gauge_certificate(x)
-        if y @ x < 0:  # normalize dual sign so that y = d(gauge)/dx
-            y = -y
-        return val, z, y
-
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            out = list(pool.map(solve, X))
-    else:
-        out = [solve(x) for x in X]
-    vals = np.array([o[0] for o in out])
-    Z = np.array([o[1] for o in out])
-    Y = np.array([o[2] for o in out])
-    return vals, Z, Y
-
-
 def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     """Alternating minimization of the mean dictionary-polytope gauge.
 
-    Sparse coding solves the gauge LP per sample; the dictionary step
-    descends along the averaged sensitivity -y z^T of those LPs, then
-    renormalizes every column to unit Euclidean norm (the hypothesis class
-    is unit-column dictionaries, so no volume normalization applies).
-    Degenerate dictionaries are repaired by reseeding a column from the
-    samples, and every repair is recorded.
+    Sparse coding takes each sample's minimal l1 code z and gauge
+    subgradient y from the body's facet description; the dictionary step
+    descends along the averaged sensitivity -y z^T, then renormalizes every
+    column to unit Euclidean norm (the hypothesis class is unit-column
+    dictionaries, so no volume normalization applies).  Degenerate
+    dictionaries are repaired by reseeding a column from the samples, and
+    every repair is recorded.  A candidate whose codes fail numerically is
+    a rejected step: the step size halves and an event is recorded.
     """
     X = _clean_points(samples)
     d = samples.dim
@@ -359,7 +331,7 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
 
     A = repair(_spread_columns(X, p, rng))
     body = DictionaryPolytopeBody(A)
-    vals, Z, Y = _dictionary_certificates(body, X)
+    vals, Z, Y = body.gauge_certificate_many(X)
     trace = [float(vals.sum() / m)]
 
     for _ in range(cfg.max_iters):
@@ -374,7 +346,12 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
             cand /= np.linalg.norm(cand, axis=0, keepdims=True)
             cand = repair(cand)
             cand_body = DictionaryPolytopeBody(cand)
-            cand_vals, cand_Z, cand_Y = _dictionary_certificates(cand_body, X)
+            try:
+                cand_vals, cand_Z, cand_Y = cand_body.gauge_certificate_many(X)
+            except NumericalFailure as exc:
+                events.append(f"rejected candidate at step size {eta:.3g}: {exc}")
+                eta *= 0.5
+                continue
             val = float(cand_vals.sum() / m)
             if val < trace[-1] - 1e-14:
                 A, body = cand, cand_body
@@ -415,7 +392,8 @@ def _directional_seeds(X: np.ndarray, L: int, rng: np.random.Generator) -> np.nd
     U = X / np.linalg.norm(X, axis=1)[:, None]
     seeds = [U[rng.integers(len(U))]]
     while len(seeds) < L:
-        dist = 1.0 - np.abs(U @ np.array(seeds).T).max(axis=1) ** 2
+        # 1 - cos^2 rounds below zero for a direction equal to a seed
+        dist = np.maximum(1.0 - np.abs(U @ np.array(seeds).T).max(axis=1) ** 2, 0.0)
         total = dist.sum()
         if total <= 0:
             seeds.append(U[rng.integers(len(U))])

@@ -161,6 +161,25 @@ def test_fit_dictionary_validation():
         ln.fit_dictionary(samples, ln.FitConfig(family="dictionary", p=40))
 
 
+def test_fit_dictionary_rejects_failed_candidate(monkeypatch):
+    original = sb.DictionaryPolytopeBody.gauge_certificate_many
+    calls = []
+
+    def fail_first_candidate(body, points):
+        calls.append(points)
+        if len(calls) == 2:  # call 1 codes the initial body, call 2 the first candidate
+            raise sb.UnboundedGaugeError("l1 coding violated feasibility tolerance")
+        return original(body, points)
+
+    monkeypatch.setattr(sb.DictionaryPolytopeBody, "gauge_certificate_many", fail_first_candidate)
+    samples = dn.SampleSet(2, np.random.default_rng(23).normal(size=(80, 2)))
+    report = ln.fit_dictionary(samples, ln.FitConfig(family="dictionary", p=3, max_iters=4, seed=23))
+    assert any(e.startswith("rejected candidate at step size 0.5") for e in report.events)
+    trace = np.array(report.risk_trace)
+    assert len(trace) > 1
+    assert np.all(np.diff(trace) <= 0)
+
+
 # ---------------------------------------------------------------------------
 # fit_union_ellipsoids
 # ---------------------------------------------------------------------------
@@ -196,6 +215,21 @@ def test_fit_union_single_population_control():
     assert two.final_risk <= one.final_risk * 1.01
     trace = np.array(two.risk_trace)
     assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_directional_seeds_repeated_directions():
+    # u = v / ||v|| has <u, u> = 1 + 2e-16 here, so 1 - <u, u>^2 rounds below 0
+    v = np.array([-0.54, 0.36])
+    X = np.vstack([np.tile(v, (20, 1)), [[1.0, 0.0], [0.0, 1.0]]])
+    for seed in range(10):
+        seeds = ln._directional_seeds(X, 3, np.random.default_rng(seed))
+        assert seeds.shape == (3, 2)
+        assert np.allclose(np.linalg.norm(seeds, axis=1), 1.0)
+    samples = dn.SampleSet(2, np.vstack([X, 2.0 * X]))
+    for seed in range(4):
+        cfg = ln.FitConfig(family="union_ellipsoids", L=2, max_iters=3, seed=seed)
+        trace = np.array(ln.fit_union_ellipsoids(samples, cfg, grid=GRID).risk_trace)
+        assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_fit_union_needs_samples():
@@ -264,18 +298,10 @@ def test_generalization_gap_rate():
         ln.generalization_gap("ellipsoid", spec, [100], gamma=1.5)
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("STARBODY_THREADS", "3")
-    assert ln._thread_cap() == 3
-    monkeypatch.setenv("STARBODY_THREADS", "bogus")
-    assert ln._thread_cap() == 1
-    monkeypatch.delenv("STARBODY_THREADS")
-    assert ln._thread_cap() == 1
-    # a threaded sparse-coding sweep must match the sequential one exactly
+def test_fit_dictionary_seeded_runs_bit_identical():
     samples = one_sparse_samples(np.eye(2), 60, 19)
-    cfg = ln.FitConfig(family="dictionary", p=2, max_iters=3, seed=19)
-    seq = ln.fit_dictionary(samples, cfg)
-    monkeypatch.setenv("STARBODY_THREADS", "4")
-    par = ln.fit_dictionary(samples, cfg)
-    assert np.array_equal(seq.body.columns, par.body.columns)
-    assert seq.risk_trace == par.risk_trace
+    cfg = ln.FitConfig(family="dictionary", p=3, max_iters=3, seed=19)
+    first = ln.fit_dictionary(samples, cfg)
+    second = ln.fit_dictionary(samples, cfg)
+    assert np.array_equal(first.body.columns, second.body.columns)
+    assert first.risk_trace == second.risk_trace
