@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -45,7 +44,7 @@ DENSITY_SHORTHANDS = (
 
 # keys a JSON config file may set; values act as defaults, flags override
 _CONFIG_COERCE = {
-    "seed": int, "grid_n": int, "tol": float, "out": str, "format": str,
+    "seed": int, "grid_n": int, "out": str, "format": str,
     "alpha": float, "bandwidth": float, "density": str, "samples": str,
     "trials": int, "n": int, "family": str, "data": str, "report": str,
     "p": int, "L": int, "iters": int, "step": float, "floor": float,
@@ -94,22 +93,8 @@ def _json_text(obj, level: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_atomic_text(path, text: str) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_atomic_with(writer, path) -> None:
-    """Atomic variant for writers that take a destination path."""
+    """Write path atomically: writer(tmp) fills a temp file that is then renamed."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
@@ -123,6 +108,10 @@ def _write_atomic_with(writer, path) -> None:
         raise
 
 
+def _write_atomic_text(path, text: str) -> None:
+    _write_atomic_with(lambda tmp: Path(tmp).write_text(text), path)
+
+
 def _emit_json(obj, out) -> None:
     text = _json_text(obj) + "\n"
     if out:
@@ -131,21 +120,14 @@ def _emit_json(obj, out) -> None:
         sys.stdout.write(text)
 
 
-def _meta_path(out) -> Path:
-    p = Path(out)
-    return p.with_name(p.stem + ".meta.json")
-
-
 def _stem_path(out, suffix: str) -> Path:
     p = Path(out)
     return p.with_name(p.stem + suffix)
 
 
 def _boundary_csv_text(body, grid) -> str:
-    rho = ge.radial_on_grid(body, grid)
-    pts = grid.nodes * rho[:, None]
     rows = ["# x,y"]
-    rows.extend("%.17g,%.17g" % (x, y) for x, y in pts)
+    rows.extend("%.17g,%.17g" % (x, y) for x, y in _body_polyline(body, grid))
     return "\n".join(rows) + "\n"
 
 
@@ -201,14 +183,6 @@ def _load_body(path: str):
     return ge.body_from_json(Path(path).read_text())
 
 
-def _tolerances(args) -> ge.GeometryTolerances:
-    if getattr(args, "tol", None) is None:
-        return ge.DEFAULT_TOLERANCES
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
-    return dataclasses.replace(ge.DEFAULT_TOLERANCES, quadrature_rel_tol=args.tol)
-
-
 def _profile_from_args(args):
     """Build a radial profile from --density or --samples."""
     if bool(args.density) == bool(args.samples):
@@ -216,7 +190,7 @@ def _profile_from_args(args):
     if args.density:
         spec = _parse_density(args.density, args.grid_n)
         grid = ge.make_grid(spec.dim, args.grid_n)
-        profile = dn.rho_analytic(spec, grid, alpha=args.alpha, tolerances=_tolerances(args))
+        profile = dn.rho_analytic(spec, grid, alpha=args.alpha)
         source = {"density": args.density, "kind": "analytic"}
     else:
         samples = dn.SampleSet.from_csv(args.samples)
@@ -253,7 +227,7 @@ def _cmd_rho(args) -> int:
         "max_value": float(values.max()),
         "max_min_ratio": float(values.max() / values.min()),
     }
-    _emit_json(meta, _meta_path(args.out))
+    _emit_json(meta, _stem_path(args.out, ".meta.json"))
     return EXIT_OK
 
 
@@ -281,7 +255,7 @@ def _cmd_optimal(args) -> int:
         "source": source,
         "convexity": verdict.to_dict(),
     }
-    _emit_json(meta, _meta_path(args.out))
+    _emit_json(meta, _stem_path(args.out, ".meta.json"))
     return EXIT_OK
 
 
@@ -603,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--grid-n", type=int, default=1024, dest="grid_n", help="angular grid size"
     )
-    common.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
     common.add_argument("--out", default=None, help="output path")
     common.add_argument(
         "--format", choices=["json", "csv", "svg"], default="json",

@@ -22,8 +22,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from starbody.geometry import (
-    DEFAULT_TOLERANCES,
-    GeometryTolerances,
     NumericalFailure,
     RadialGridBody,
     SphericalGrid,
@@ -32,6 +30,7 @@ from starbody.geometry import (
     body_to_dict,
     make_grid,
     radial_on_grid,
+    sphere_surface_area,
     uniform_circle_grid,
     volume,
 )
@@ -183,15 +182,11 @@ class RadialProfile:
             if dim == 2:
                 grid = uniform_circle_grid(arr.shape[0])
             else:
-                weights = np.full(arr.shape[0], _sphere_area(dim) / arr.shape[0])
+                weights = np.full(arr.shape[0], sphere_surface_area(dim) / arr.shape[0])
                 grid = SphericalGrid(dim, nodes, weights, {"kind": "explicit"})
         if not np.allclose(grid.nodes, nodes, atol=1e-9):
             raise ValueError("profile nodes do not match the provided grid")
         return cls(grid, values, alpha)
-
-
-def _sphere_area(dim: int) -> float:
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +284,9 @@ class UniformOverBody(DensitySpec):
         return np.where(g <= 1.0, 1.0 / self.volume, 0.0)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        dirs = _sample_directions(self.body, self.grid, n, rng)
-        rho = self.body.radial_many(dirs)
-        r = rho * rng.random(n) ** (1.0 / self.dim)
+        d = self.dim
+        dirs = _sample_directions(self.grid, radial_on_grid(self.body, self.grid) ** d, n, rng)
+        r = self.body.radial_many(dirs) * rng.random(n) ** (1.0 / d)
         return r[:, None] * dirs
 
 
@@ -349,18 +344,9 @@ class GaugeInducedDensity(DensitySpec):
             self._validate_mass(mc_n)
 
     def _validate_mass(self, n: int) -> None:
-        # importance sampling against a gauge-exponential law on the
-        # circumscribed ball keeps the weights bounded
         rng = np.random.default_rng(20_240_817)
-        d = self.dim
-        radius = float(np.max(radial_on_grid(self.body, self.grid)))
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        s = rng.gamma(shape=d, scale=radius, size=n)
-        x = s[:, None] * dirs
-        kappa_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        log_zq = math.log(kappa_d) + d * math.log(radius) + gammaln(d + 1)
-        w = self.pdf(x) * np.exp(s / radius + log_zq)
+        u, r, log_inv_q = _polar_proposal(self.body, self.grid, n, rng)
+        w = self.pdf(r[:, None] * u) * np.exp(log_inv_q)
         mass = float(np.mean(w))
         stderr = float(np.std(w) / math.sqrt(n))
         if abs(mass - 1.0) > max(0.02, 4.0 * stderr):
@@ -373,9 +359,9 @@ class GaugeInducedDensity(DensitySpec):
         return _profile_fn(self.profile, g) / self.normalization
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        dirs = _sample_directions(self.body, self.grid, n, rng)
-        rho = self.body.radial_many(dirs)
         d = self.dim
+        dirs = _sample_directions(self.grid, radial_on_grid(self.body, self.grid) ** d, n, rng)
+        rho = self.body.radial_many(dirs)
         if self.profile == "exp":
             t = rng.gamma(shape=d, scale=1.0, size=n)
         elif self.profile == "gauss":
@@ -386,16 +372,17 @@ class GaugeInducedDensity(DensitySpec):
 
 
 def _sample_directions(
-    body: StarBody, grid: SphericalGrid, n: int, rng: np.random.Generator
+    grid: SphericalGrid, mass: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Directions with spherical density proportional to rho^d.
+    """Directions with spherical density proportional to a per-node mass.
 
-    Nodes are drawn with probability proportional to w_j * rho_j^d, then
-    jittered within the local cell for absolute continuity.
+    Nodes are drawn with probability proportional to w_j * mass_j, then
+    jittered within the local cell for absolute continuity.  A body's
+    rho^d as the mass gives the direction law of its uniform and
+    gauge-induced densities.
     """
-    d = body.dim
-    rho = radial_on_grid(body, grid)
-    p = grid.weights * rho**d
+    d = grid.dim
+    p = grid.weights * mass
     p = p / p.sum()
     idx = rng.choice(grid.n, size=n, p=p)
     if d == 2:
@@ -403,10 +390,26 @@ def _sample_directions(
         theta = grid.angles()[idx] + (rng.random(n) - 0.5) * step
         return np.column_stack([np.cos(theta), np.sin(theta)])
     base = grid.nodes[idx]
-    spread = math.sqrt(_sphere_area(d) / grid.n) / 2.0
+    spread = math.sqrt(sphere_surface_area(d) / grid.n) / 2.0
     jittered = base + spread * rng.standard_normal((n, d))
     jittered /= np.linalg.norm(jittered, axis=1, keepdims=True)
     return jittered
+
+
+def _polar_proposal(body: StarBody, grid: SphericalGrid, n: int, rng: np.random.Generator):
+    """Importance proposal x = r u for integrals over R^d.
+
+    u is uniform on the sphere and r ~ Gamma(d, rho_max), with rho_max the
+    largest radial value on the grid, so q(x) is proportional to
+    exp(-|x| / rho_max).  Returns u, r and log(1 / q(r u)).
+    """
+    d = body.dim
+    rho_max = float(radial_on_grid(body, grid).max())
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = rng.gamma(d, rho_max, size=n)
+    log_const = math.log(sphere_surface_area(d)) + float(gammaln(d)) + d * math.log(rho_max)
+    return u, r, log_const + r / rho_max
 
 
 # ---------------------------------------------------------------------------
@@ -447,25 +450,17 @@ def quad_radial(fn, r_max: float, rel_tol: float, base_panels: int = 8):
     raise NonintegrableError("radial quadrature failed to converge")
 
 
-def _gaussian_t_moment(s: float, rel_tol: float) -> float:
-    """integral_0^inf t^(s-1) exp(-t^2/2) dt via cut-off quadrature."""
-    t_max = math.sqrt(s) + 14.0  # tail beyond this is < 1e-10 relative
-    return quad_radial(lambda t: t ** (s - 1.0) * np.exp(-0.5 * t * t), t_max, rel_tol)
-
-
-def _radial_moments(
-    spec: DensitySpec, grid: SphericalGrid, s: float, rel_tol: float
-) -> np.ndarray:
+def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndarray:
     """Per-node values of integral_0^inf r^(s-1) p(r u) dr."""
     if isinstance(spec, GaussianDensity):
         if not spec.centered:
             raise ValueError("radial statistics require a centered Gaussian")
         q = np.sqrt(np.einsum("ij,jk,ik->i", grid.nodes, spec._cov_inv, grid.nodes))
         lognorm = -0.5 * (spec.dim * math.log(2 * math.pi) + spec._logdet)
-        return math.exp(lognorm) * _gaussian_t_moment(s, rel_tol) * q ** (-s)
+        return math.exp(lognorm) * _profile_moment("gauss", s) * q ** (-s)
     if isinstance(spec, MixtureDensity):
         return sum(
-            w * _radial_moments(c, grid, s, rel_tol)
+            w * _radial_moments(c, grid, s)
             for w, c in zip(spec.weights, spec.components)
         )
     if isinstance(spec, UniformOverBody):
@@ -477,13 +472,11 @@ def _radial_moments(
     raise TypeError(f"unsupported density spec: {type(spec).__name__}")
 
 
-def rho_analytic(
-    spec: DensitySpec,
-    grid: SphericalGrid,
-    alpha: float = 1.0,
-    tolerances: GeometryTolerances = DEFAULT_TOLERANCES,
-) -> RadialProfile:
+def rho_analytic(spec: DensitySpec, grid: SphericalGrid, alpha: float = 1.0) -> RadialProfile:
     """Radial statistic of an analytic density on the given grid.
+
+    Every supported spec has a closed-form ray moment (Gaussians through
+    2^(s/2-1) Gamma(s/2) ||Sigma^(-1/2) u||^(-s)), so no quadrature runs.
 
     Parameters
     ----------
@@ -499,7 +492,7 @@ def rho_analytic(
     if spec.dim != grid.dim:
         raise ValueError("density and grid dimension mismatch")
     s = spec.dim + alpha
-    moments = _radial_moments(spec, grid, s, min(tolerances.quadrature_rel_tol, 1e-9))
+    moments = _radial_moments(spec, grid, s)
     if np.any(~np.isfinite(moments)) or np.any(moments <= 0):
         raise NonintegrableError("nonintegrable radial statistic")
     return RadialProfile(grid, moments ** (1.0 / s), alpha)
@@ -663,12 +656,7 @@ class AnnularRegion:
         rng = _as_rng(seed)
         d = self.dim
         shell = self.outer.radii**d - self.inner.radii**d
-        p = self.grid.weights * shell
-        p = p / p.sum()
-        idx = rng.choice(self.grid.n, size=n, p=p)
-        step = 2.0 * math.pi / self.grid.n
-        theta = self.grid.angles()[idx] + (rng.random(n) - 0.5) * step
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        dirs = _sample_directions(self.grid, shell, n, rng)
         lo = self.inner.radial_many(dirs) ** d
         hi = self.outer.radial_many(dirs) ** d
         r = (lo + rng.random(n) * (hi - lo)) ** (1.0 / d)

@@ -34,6 +34,8 @@ MAX_HULL_FACETS = 100_000
 FACET_TIE_RTOL = 1e-10
 # facet-gauge work is done in row blocks of about this many (point, facet) scores
 CHUNK_ENTRIES = 1 << 20
+# a dictionary code z is rejected when ||A z - x|| exceeds this times 1 + ||x||
+CODING_FEAS_TOL = 1e-8
 
 
 class NumericalFailure(Exception):
@@ -50,16 +52,17 @@ class DegenerateDirectionError(NumericalFailure):
 
 @dataclass(frozen=True)
 class GeometryTolerances:
-    """Numerical tolerances shared by the geometric routines."""
+    """Numerical tolerances of the convexity check.
 
-    quadrature_rel_tol: float = 1e-3
-    lp_feas_tol: float = 1e-8
+    convexity_margin_tol is the slack below which a negative convexity
+    margin still counts as convex.
+    """
+
     convexity_margin_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("quadrature_rel_tol", "lp_feas_tol", "convexity_margin_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if self.convexity_margin_tol <= 0:
+            raise ValueError("convexity_margin_tol must be strictly positive")
 
 
 DEFAULT_TOLERANCES = GeometryTolerances()
@@ -85,6 +88,17 @@ def _upper_bound_facets(n_vertices: int, dim: int) -> int:
     if dim % 2 == 0:
         return n * math.comb(n - k, k) // (n - k)
     return 2 * math.comb(n - k - 1, k)
+
+
+def _circle_cells(dirs: np.ndarray, n: int):
+    """Angle cell of planar directions on n equally spaced nodes.
+
+    Returns the node index j0 at or below each direction's angle and the
+    fraction in [0, 1) of the way to node j0 + 1 (mod n).
+    """
+    theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
+    t = theta * n / (2.0 * math.pi)
+    return np.floor(t).astype(int) % n, t - np.floor(t)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -285,10 +299,7 @@ class RadialGridBody(StarBody):
     def _interp_radial(self, dirs: np.ndarray) -> np.ndarray:
         if self.dim == 2:
             n = self.grid.n
-            theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
-            t = theta * n / (2.0 * math.pi)
-            j0 = np.floor(t).astype(int) % n
-            frac = t - np.floor(t)
+            j0, frac = _circle_cells(dirs, n)
             r = self._sorted_radii
             return (1.0 - frac) * r[j0] + frac * r[(j0 + 1) % n]
         k = min(self.K_NEIGHBORS, self.grid.n)
@@ -356,7 +367,7 @@ class DictionaryPolytopeBody(StarBody):
     have full row rank so that the body has the origin in its interior.
     """
 
-    def __init__(self, columns, lp_feas_tol: float = DEFAULT_TOLERANCES.lp_feas_tol) -> None:
+    def __init__(self, columns) -> None:
         A = np.asarray(columns, dtype=float)
         if A.ndim != 2:
             raise ValueError("dictionary must be a d x p matrix")
@@ -370,7 +381,6 @@ class DictionaryPolytopeBody(StarBody):
             raise ValueError("dictionary must have full row rank (origin interior)")
         self.dim = d
         self.columns = _freeze(A)
-        self.lp_feas_tol = float(lp_feas_tol)
         self._signed = _freeze(np.hstack([A, -A]))  # the 2p points +-a_j
         # facet gradients y_f, shape (F, d), and each facet's d vertices as
         # indices into the columns of _signed; None selects the LP path
@@ -416,7 +426,7 @@ class DictionaryPolytopeBody(StarBody):
         vertex or ridge gets the same symmetric subgradient whichever facet
         rounding favours; z solves A z = x on an active facet whose cone
         holds x.  Raises UnboundedGaugeError if a code misses A z = x by
-        more than lp_feas_tol.
+        more than CODING_FEAS_TOL (relative to 1 + ||x||).
         """
         points = np.asarray(points, dtype=float)
         if self._facet_y is None:
@@ -430,7 +440,7 @@ class DictionaryPolytopeBody(StarBody):
             Z = np.concatenate([c[1] for c in chunks])
             Y = np.concatenate([c[2] for c in chunks])
         resid = np.linalg.norm(Z @ self.columns.T - points, axis=1)
-        if np.any(resid > self.lp_feas_tol * (1.0 + np.linalg.norm(points, axis=1))):
+        if np.any(resid > CODING_FEAS_TOL * (1.0 + np.linalg.norm(points, axis=1))):
             raise UnboundedGaugeError("l1 coding violated feasibility tolerance")
         return vals, Z, Y
 

@@ -21,6 +21,7 @@ from scipy.stats import kstest
 from starbody.density import (
     SampleSet,
     _as_rng,
+    _polar_proposal,
     _sample_directions,
     _validate_alpha,
     expected_gauge,
@@ -34,7 +35,6 @@ from starbody.geometry import (
     grid_to_descriptor,
     make_grid,
     radial_on_grid,
-    sphere_surface_area,
     volume,
 )
 
@@ -46,39 +46,20 @@ def log_normalizer(body: StarBody, grid: SphericalGrid, alpha: float = 1.0) -> f
     return math.log(volume(body, grid)) + float(gammaln(d / alpha + 1.0))
 
 
-def mc_normalizer_estimate(
-    body: StarBody,
-    grid: SphericalGrid,
-    n: int = 200_000,
-    seed=0,
-    method: str = "polar",
-):
+def mc_normalizer_estimate(body: StarBody, grid: SphericalGrid, n: int = 200_000, seed=0):
     """Monte Carlo estimate of Z = integral of exp(-||x||_K), with stderr.
 
-    "polar" draws uniform directions and Gamma(d, rho_max) radii; weights
-    stay bounded because rho <= rho_max everywhere, so the estimate is
-    unbiased with no truncation.  "box" averages the integrand over the
-    bounding box [-R, R]^d with R = 12 * rho_max; the exp(-12) tail it
-    discards is far below the stated 2% oracle tolerance, but the variance
-    is much larger, so prefer "polar" unless the box form is wanted.
+    Draws uniform directions and Gamma(d, rho_max) radii, where rho_max is
+    the largest radial value on the grid, and weights each draw by
+    integrand / proposal.  The estimate is unbiased with no truncation.
+    The weights are bounded only where rho_max really bounds rho; a body
+    whose radial function peaks between grid nodes gives heavier-tailed
+    weights, and the returned stderr is then less reliable.
     """
     if n < 1:
         raise ValueError("need at least one Monte Carlo sample")
-    rng = _as_rng(seed)
-    d = body.dim
-    rho_max = float(radial_on_grid(body, grid).max())
-    if method == "polar":
-        u = rng.standard_normal((n, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        r = rng.gamma(d, rho_max, size=n)
-        log_const = math.log(sphere_surface_area(d)) + float(gammaln(d)) + d * math.log(rho_max)
-        w = np.exp(log_const + r / rho_max - r * body.gauge_many(u))
-    elif method == "box":
-        half = 12.0 * rho_max
-        pts = rng.uniform(-half, half, size=(n, d))
-        w = np.exp(-body.gauge_many(pts)) * (2.0 * half) ** d
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    u, r, log_inv_q = _polar_proposal(body, grid, n, _as_rng(seed))
+    w = np.exp(log_inv_q - r * body.gauge_many(u))
     return float(w.mean()), float(w.std() / math.sqrt(n))
 
 
@@ -131,7 +112,7 @@ def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = No
     if grid is None:
         grid = make_grid(body.dim)
     rng = _as_rng(seed)
-    u = _sample_directions(body, grid, n, rng)
+    u = _sample_directions(grid, radial_on_grid(body, grid) ** body.dim, n, rng)
     t = rng.gamma(body.dim, 1.0, size=n)
     pts = (t / body.gauge_many(u))[:, None] * u
     meta = {"spec": "gibbs"}

@@ -23,6 +23,7 @@ from starbody.geometry import (
     RadialGridBody,
     SphericalGrid,
     StarBody,
+    _circle_cells,
     body_to_dict,
     dual_mixed_volume,
     make_grid,
@@ -245,13 +246,9 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     norms = norms[nz]
     radii = np.zeros(grid.n)
     if grid.dim == 2:
-        n = grid.n
-        theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * math.pi)
-        t = theta * n / (2 * math.pi)
-        j0 = np.floor(t).astype(int) % n
-        j1 = (j0 + 1) % n
+        j0, _ = _circle_cells(dirs, grid.n)
         np.maximum.at(radii, j0, norms)
-        np.maximum.at(radii, j1, norms)
+        np.maximum.at(radii, (j0 + 1) % grid.n, norms)
     else:
         k = min(RadialGridBody.K_NEIGHBORS, grid.n)
         _, idx = cKDTree(grid.nodes).query(dirs, k=k)

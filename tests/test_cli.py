@@ -63,7 +63,6 @@ def test_rho_input_validation(tmp_path):
     assert run("rho", "--samples", tmp_path / "missing.csv", "--out", out) == 2
     assert run("rho", "--density", "bogus-name", "--out", out) == 2
     assert run("rho", "--density", "gmm-eps:abc", "--out", out) == 2
-    assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--tol", -1.0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +259,19 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"wat": 1}))
     assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--config", bad) == 2
+
+
+def test_config_keys_match_parser():
+    # _CONFIG_COERCE is kept in sync with the parser by hand
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    dests = {
+        a.dest
+        for sub in subparsers.choices.values()
+        for a in sub._actions
+        if a.option_strings
+    }
+    assert set(cli._CONFIG_COERCE) == dests - {"help", "config"}
 
 
 def test_json_writer_precision_and_order():

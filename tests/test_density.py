@@ -46,11 +46,13 @@ def test_rho_gaussian_anisotropic_matches_oracle():
 
 
 def test_rho_gaussian_alpha_cases():
-    cov = np.diag([2.0, 1.0])
-    for alpha in (1.0, 2.0, 4.0):
-        prof = dn.rho_analytic(dn.GaussianDensity(cov), GRID, alpha=alpha)
-        oracle = gaussian_profile_oracle(cov, GRID.nodes, alpha)
-        assert np.allclose(prof.values, oracle, rtol=1e-9)
+    for d in (2, 3, 4, 5):
+        grid = GRID if d == 2 else sb.make_grid(d, 256)
+        cov = np.diag(np.linspace(2.0, 0.5, d))
+        for alpha in (1.0, 1.5, 2.0, 2.5, 4.0):
+            prof = dn.rho_analytic(dn.GaussianDensity(cov), grid, alpha=alpha)
+            oracle = gaussian_profile_oracle(cov, grid.nodes, alpha)
+            assert np.allclose(prof.values, oracle, rtol=1e-13, atol=0)
 
 
 def test_rho_gaussian_3d():

@@ -70,7 +70,7 @@ def test_grid_validation():
 
 def test_tolerances_positive():
     with pytest.raises(ValueError):
-        sb.GeometryTolerances(quadrature_rel_tol=0.0)
+        sb.GeometryTolerances(convexity_margin_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,6 @@ def test_mc_normalizer_polar():
         assert abs(est - exact) / exact < 0.02
 
 
-def test_mc_normalizer_box():
-    ball = sb.EllipsoidBody(np.eye(2))
-    est, se = gb.mc_normalizer_estimate(ball, GRID, n=2_000_000, seed=7, method="box")
-    assert abs(est - 2 * math.pi) / (2 * math.pi) < 0.02
-    with pytest.raises(ValueError):
-        gb.mc_normalizer_estimate(ball, GRID, method="trapezoid")
-
-
 # ---------------------------------------------------------------------------
 # Likelihood and dilates
 # ---------------------------------------------------------------------------
