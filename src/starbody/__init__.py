@@ -24,12 +24,10 @@ cli
 """
 
 from starbody.geometry import (
-    DEFAULT_TOLERANCES,
     DegenerateDirectionError,
     DictionaryPolytopeBody,
     DilateBody,
     EllipsoidBody,
-    GeometryTolerances,
     NumericalFailure,
     RadialGridBody,
     SphericalGrid,
@@ -66,7 +64,6 @@ from starbody.optimizer import (
     critical_epsilon_gmm,
     gmm_profile,
     optimal_body,
-    population_optimum,
     support_body,
 )
 from starbody.gibbs import (

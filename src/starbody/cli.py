@@ -42,15 +42,6 @@ DENSITY_SHORTHANDS = (
     "uniform-l1-2d",
 )
 
-# keys a JSON config file may set; values act as defaults, flags override
-_CONFIG_COERCE = {
-    "seed": int, "grid_n": int, "out": str, "format": str,
-    "alpha": float, "bandwidth": float, "density": str, "samples": str,
-    "trials": int, "n": int, "family": str, "data": str, "report": str,
-    "p": int, "L": int, "iters": int, "step": float, "floor": float,
-    "body": str,
-}
-
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -125,10 +116,16 @@ def _stem_path(out, suffix: str) -> Path:
     return p.with_name(p.stem + suffix)
 
 
-def _boundary_csv_text(body, grid) -> str:
-    rows = ["# x,y"]
-    rows.extend("%.17g,%.17g" % (x, y) for x, y in _body_polyline(body, grid))
-    return "\n".join(rows) + "\n"
+def _write_body(path, body) -> None:
+    _write_atomic_text(path, _json_text(ge.body_to_dict(body)) + "\n")
+
+
+def _write_boundary_csv(path, body, grid) -> None:
+    poly = _body_polyline(body, grid)
+    _write_atomic_with(
+        lambda tmp: np.savetxt(tmp, poly, fmt=dn.FLOAT_FMT, delimiter=",", header="x,y"),
+        path,
+    )
 
 
 def _svg_text(polylines) -> str:
@@ -237,12 +234,9 @@ def _cmd_optimal(args) -> int:
     profile, grid, source = _profile_from_args(args)
     result = op.optimal_body(profile)
     verdict = op.check_convexity(result.k_star, seed=args.seed)
-    _write_atomic_text(args.out, _json_text(ge.body_to_dict(result.k_star)) + "\n")
+    _write_body(args.out, result.k_star)
     if grid.dim == 2:
-        _write_atomic_text(
-            _stem_path(args.out, ".boundary.csv"),
-            _boundary_csv_text(result.k_star, grid),
-        )
+        _write_boundary_csv(_stem_path(args.out, ".boundary.csv"), result.k_star, grid)
         if args.format == "svg":
             _write_atomic_text(
                 _stem_path(args.out, ".boundary.svg"),
@@ -300,7 +294,7 @@ def _cmd_fit(args) -> int:
         L=args.L,
     )
     report = ln.fit(samples, cfg)
-    _write_atomic_text(args.out, _json_text(ge.body_to_dict(report.body)) + "\n")
+    _write_body(args.out, report.body)
     if args.report:
         _emit_json(report.to_dict(), args.report)
     return EXIT_OK
@@ -319,8 +313,7 @@ def _random_star_body(rng, grid, n_modes: int = 4, base: float = 1.0):
     return ge.RadialGridBody(grid, np.clip(rho, 0.25, None))
 
 
-def _verify_lutwak(seed: int, grid_n: int):
-    grid = ge.make_grid(2, grid_n)
+def _verify_lutwak(grid, seed: int):
     rng = np.random.default_rng(seed)
     d = grid.dim
     min_margin = math.inf
@@ -347,8 +340,7 @@ def _verify_lutwak(seed: int, grid_n: int):
     }
 
 
-def _verify_gibbs(seed: int, grid_n: int):
-    grid = ge.make_grid(2, grid_n)
+def _verify_gibbs(grid, seed: int):
     rng = np.random.default_rng(seed)
     body = _random_star_body(rng, grid)
     n = 100_000
@@ -373,8 +365,7 @@ def _verify_gibbs(seed: int, grid_n: int):
     }
 
 
-def _verify_lipschitz(seed: int, grid_n: int):
-    grid = ge.make_grid(2, grid_n)
+def _verify_lipschitz(grid, seed: int):
     rng = np.random.default_rng(seed)
     r = 0.5
     worst = -math.inf
@@ -400,8 +391,7 @@ def _verify_lipschitz(seed: int, grid_n: int):
     }
 
 
-def _verify_noise(seed: int, grid_n: int):
-    grid = ge.make_grid(2, grid_n)
+def _verify_noise(grid, seed: int):
     rng = np.random.default_rng(seed)
     bodies = []
     for _ in range(10):
@@ -422,8 +412,7 @@ def _random_rotation(rng) -> np.ndarray:
     return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
-def _verify_mixture(seed: int, grid_n: int):
-    grid = ge.make_grid(2, grid_n)
+def _verify_mixture(grid, seed: int):
     rng = np.random.default_rng(seed)
     d, alpha = grid.dim, 1.0
     worst_additivity = 0.0
@@ -469,7 +458,8 @@ VERIFY_SUITES = {
 
 
 def _cmd_verify(args) -> int:
-    passed, report = VERIFY_SUITES[args.suite](args.seed, args.grid_n)
+    grid = ge.make_grid(2, args.grid_n)
+    passed, report = VERIFY_SUITES[args.suite](grid, args.seed)
     _emit_json(report, args.out)
     return EXIT_OK if passed else EXIT_VERIFY
 
@@ -479,10 +469,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reproduce_l2_supports(args) -> int:
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = ge.make_grid(2, args.grid_n)
+def _reproduce_l2_supports(outdir: Path, grid, seed: int) -> None:
     theta = grid.angles()
     choices = {
         "const": np.full(grid.n, 0.4),
@@ -496,8 +483,8 @@ def _reproduce_l2_supports(args) -> int:
         profile = region.analytic_profile(alpha=1.0)
         base = str(outdir / f"l2_supports_{name}")
         _write_atomic_with(profile.to_csv, base + ".profile.csv")
-        _write_atomic_text(base + ".inner.csv", _boundary_csv_text(region.inner, grid))
-        _write_atomic_text(base + ".outer.csv", _boundary_csv_text(region.outer, grid))
+        _write_boundary_csv(base + ".inner.csv", region.inner, grid)
+        _write_boundary_csv(base + ".outer.csv", region.outer, grid)
         _write_atomic_text(
             base + ".svg",
             _svg_text(
@@ -512,21 +499,17 @@ def _reproduce_l2_supports(args) -> int:
             "constant_within_2pct": ratio <= 1.02,
         }
     _emit_json(summary, outdir / "l2_supports_summary.json")
-    return EXIT_OK
 
 
-def _reproduce_gmm_bodies(args) -> int:
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = ge.make_grid(2, args.grid_n)
+def _reproduce_gmm_bodies(outdir: Path, grid, seed: int) -> None:
     summary = {}
     for eps in (0.01, 0.1, 0.25, 0.75):
         profile = op.gmm_profile(eps, grid)
         result = op.optimal_body(profile)
-        verdict = op.check_convexity(result.k_star, seed=args.seed)
+        verdict = op.check_convexity(result.k_star, seed=seed)
         base = str(outdir / f"gmm_body_eps_{eps}")
-        _write_atomic_text(base + ".json", _json_text(ge.body_to_dict(result.k_star)) + "\n")
-        _write_atomic_text(base + ".boundary.csv", _boundary_csv_text(result.k_star, grid))
+        _write_body(base + ".json", result.k_star)
+        _write_boundary_csv(base + ".boundary.csv", result.k_star, grid)
         _write_atomic_text(base + ".svg", _svg_text([_body_polyline(result.k_star, grid)]))
         summary[str(eps)] = {
             "is_convex": verdict.is_convex,
@@ -534,13 +517,9 @@ def _reproduce_gmm_bodies(args) -> int:
             "achieved_risk": result.achieved_risk,
         }
     _emit_json(summary, outdir / "gmm_bodies_summary.json")
-    return EXIT_OK
 
 
-def _reproduce_gmm_critical_eps(args) -> int:
-    outdir = Path(args.out or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    grid = ge.make_grid(2, args.grid_n)
+def _reproduce_gmm_critical_eps(outdir: Path, grid, seed: int) -> None:
     record = []
     eps_c = op.critical_epsilon_gmm(grid, record=record)
     payload = {
@@ -552,7 +531,6 @@ def _reproduce_gmm_critical_eps(args) -> int:
         ],
     }
     _emit_json(payload, outdir / "gmm_critical_eps.json")
-    return EXIT_OK
 
 
 REPRODUCE_FIGURES = {
@@ -563,7 +541,9 @@ REPRODUCE_FIGURES = {
 
 
 def _cmd_reproduce(args) -> int:
-    return REPRODUCE_FIGURES[args.figure](args)
+    grid = ge.make_grid(2, args.grid_n)
+    REPRODUCE_FIGURES[args.figure](Path(args.out or "."), grid, args.seed)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-n", type=int, default=1024, dest="grid_n", help="angular grid size"
     )
     common.add_argument("--out", default=None, help="output path")
-    common.add_argument(
-        "--format", choices=["json", "csv", "svg"], default="json",
-        help="extra output format where applicable",
-    )
     common.add_argument("--config", default=None, help="JSON file with default flags")
 
     parser = argparse.ArgumentParser(
@@ -596,6 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", default=None, help="sample CSV path")
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--bandwidth", type=float, default=dn.DEFAULT_BANDWIDTH)
+    p_opt.add_argument(
+        "--format", choices=["json", "svg"], default="json",
+        help="svg also writes the boundary of a planar body as an SVG",
+    )
 
     p_cvx = sub.add_parser("convexity", parents=[common], help="convexity verdict")
     p_cvx.add_argument("--body", required=True, help="body JSON path")
@@ -624,23 +604,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv) -> None:
-    """Merge --config JSON into args; explicit flags keep priority."""
-    if not args.config:
-        return
+def _config_argv(parser, args, argv) -> list:
+    """argv with the --config file's entries spliced in as --key=value tokens.
+
+    The tokens follow the subcommand name, so argparse checks them like any
+    flag (type, choices) and an explicit flag later in argv wins.  A key
+    that only other subcommands accept is skipped; null keeps the default.
+    """
     conf = json.loads(Path(args.config).read_text())
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help", "--config"}
+        for name, sub in subparsers.choices.items()
+    }
+    tokens = []
     for key, value in conf.items():
-        dest = str(key).replace("-", "_")
-        if dest not in _CONFIG_COERCE:
+        flag = "--" + key.replace("_", "-")
+        if not any(flag in fs for fs in flags.values()):
             raise ValueError(f"unknown config key {key!r}")
-        if not hasattr(args, dest):
-            continue  # valid key, but not for this subcommand
-        flag = "--" + dest.replace("_", "-")
-        given = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not given:
-            setattr(args, dest, None if value is None else _CONFIG_COERCE[dest](value))
+        if isinstance(value, (bool, list, dict)):
+            raise ValueError(f"config key {key!r} needs a string, a number or null")
+        if flag in flags[args.command] and value is not None:
+            tokens.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + tokens + argv[at:]
 
 
 DISPATCH = {
@@ -659,12 +648,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(parser, args, argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        _apply_config(args, argv)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"starbody: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

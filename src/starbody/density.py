@@ -39,6 +39,8 @@ ALPHA_MIN = 1.0
 ALPHA_MAX = 8.0
 DEFAULT_BANDWIDTH = 0.15
 FLOAT_FMT = "%.17g"
+# importance samples of the mass check in GaugeInducedDensity
+MASS_CHECK_N = 50_000
 
 
 class NonintegrableError(NumericalFailure):
@@ -88,9 +90,7 @@ class SampleSet:
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(f"# dim={self.dim}\n")
-            for row in self.points:
-                fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+            np.savetxt(fh, self.points, fmt=FLOAT_FMT, delimiter=",", header=f"dim={self.dim}")
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
@@ -149,14 +149,11 @@ class RadialProfile:
         return RadialGridBody(self.grid, self.values)
 
     def to_csv(self, path) -> None:
+        """Rows of (angle or node index, node components, value)."""
+        lead = self.grid.angles() if self.grid.dim == 2 else np.arange(self.grid.n)
+        rows = np.column_stack([lead, self.grid.nodes, self.values])
         with open(path, "w") as fh:
-            angles = self.grid.angles() if self.grid.dim == 2 else None
-            for j in range(self.grid.n):
-                lead = angles[j] if angles is not None else j
-                cells = [FLOAT_FMT % lead]
-                cells += [FLOAT_FMT % c for c in self.grid.nodes[j]]
-                cells.append(FLOAT_FMT % self.values[j])
-                fh.write(",".join(cells) + "\n")
+            np.savetxt(fh, rows, fmt=FLOAT_FMT, delimiter=",")
 
     @classmethod
     def from_csv(cls, path, grid: SphericalGrid | None = None, alpha: float = 1.0):
@@ -329,7 +326,6 @@ class GaugeInducedDensity(DensitySpec):
         profile: str = "exp",
         grid: SphericalGrid | None = None,
         validate: bool = True,
-        mc_n: int = 50_000,
     ) -> None:
         if profile not in _PROFILE_NAMES:
             raise ValueError(f"profile must be one of {_PROFILE_NAMES}")
@@ -341,7 +337,7 @@ class GaugeInducedDensity(DensitySpec):
         d = self.dim
         self.normalization = self.body_volume * d * _profile_moment(profile, d)
         if validate:
-            self._validate_mass(mc_n)
+            self._validate_mass(MASS_CHECK_N)
 
     def _validate_mass(self, n: int) -> None:
         rng = np.random.default_rng(20_240_817)

@@ -50,24 +50,6 @@ class DegenerateDirectionError(NumericalFailure):
     """The radial function is undefined along a direction of zero gauge."""
 
 
-@dataclass(frozen=True)
-class GeometryTolerances:
-    """Numerical tolerances of the convexity check.
-
-    convexity_margin_tol is the slack below which a negative convexity
-    margin still counts as convex.
-    """
-
-    convexity_margin_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.convexity_margin_tol <= 0:
-            raise ValueError("convexity_margin_tol must be strictly positive")
-
-
-DEFAULT_TOLERANCES = GeometryTolerances()
-
-
 def sphere_surface_area(dim: int) -> float:
     """Surface area of the unit sphere in R^dim (2*pi for dim=2)."""
     return 2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
@@ -658,13 +640,6 @@ def support_function(body: StarBody, dirs: np.ndarray, grid: SphericalGrid) -> n
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     rho = radial_on_grid(body, grid)
     return np.max((grid.nodes * rho[:, None]) @ dirs.T, axis=0)
-
-
-def support_distance(K: StarBody, L: StarBody, grid: SphericalGrid) -> float:
-    """Sup-difference of grid support functions (convex-body diagnostic)."""
-    hk = support_function(K, grid.nodes, grid)
-    hl = support_function(L, grid.nodes, grid)
-    return float(np.max(np.abs(hk - hl)))
 
 
 # ---------------------------------------------------------------------------

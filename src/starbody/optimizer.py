@@ -17,9 +17,7 @@ from scipy.spatial import cKDTree
 
 from starbody.density import RadialProfile, SampleSet, two_gaussian_mixture
 from starbody.geometry import (
-    DEFAULT_TOLERANCES,
     DilateBody,
-    GeometryTolerances,
     RadialGridBody,
     SphericalGrid,
     StarBody,
@@ -31,6 +29,9 @@ from starbody.geometry import (
     volume,
     volume_normalize,
 )
+
+# slack below which a negative convexity margin still counts as convex
+CONVEXITY_MARGIN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,18 @@ def check_convexity(
     body: StarBody,
     trials: int = 512,
     seed=0,
-    tolerances: GeometryTolerances = DEFAULT_TOLERANCES,
 ) -> ConvexityReport:
     """Convexity verdict with a scale-free margin.
 
     Planar radial-grid bodies get the exact polygon test: consecutive edge
-    cross products, normalized by the edge lengths, must all be nonnegative
-    up to the margin tolerance.  Every other representation is probed by
-    sampled gauge subadditivity on random unit pairs, with the margin
-    normalized by the gauge of the sum.
+    cross products, normalized by the edge lengths, must all be nonnegative.
+    Every other representation is probed by sampled gauge subadditivity on
+    random unit pairs, with the margin normalized by the gauge of the sum.
+    The body counts as convex when the margin is at least
+    -CONVEXITY_MARGIN_TOL.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    tol = tolerances.convexity_margin_tol
     verts = _planar_vertices(body)
     if verts is not None:
         e1 = np.roll(verts, -1, axis=0) - verts
@@ -137,7 +137,9 @@ def check_convexity(
         cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         denom = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
         margin = float(np.min(cross / denom))
-        return ConvexityReport(margin >= -tol, margin, "exact2d", verts.shape[0])
+        return ConvexityReport(
+            margin >= -CONVEXITY_MARGIN_TOL, margin, "exact2d", verts.shape[0]
+        )
     rng = np.random.default_rng(seed)
     d = body.dim
     margin = np.inf
@@ -152,7 +154,9 @@ def check_convexity(
         gx, gy, gxy = body.gauge_many(np.vstack([x, y, x + y]))
         margin = min(margin, (gx + gy - gxy) / gxy)
         done += 1
-    return ConvexityReport(margin >= -tol, float(margin), "sampled-subadditivity", trials)
+    return ConvexityReport(
+        margin >= -CONVEXITY_MARGIN_TOL, float(margin), "sampled-subadditivity", trials
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +187,13 @@ def critical_epsilon_gmm(
     eps_lo: float = 0.05,
     eps_hi: float = 0.95,
     bisection_tol: float = 0.01,
-    tolerances: GeometryTolerances = DEFAULT_TOLERANCES,
     record: list | None = None,
 ) -> float:
     """Convexity transition of the two-Gaussian mixture family by bisection.
 
-    Validates that eps_lo is nonconvex and eps_hi convex, then bisects the
-    single transition; pass a list as `record` to capture the
-    (eps, margin, is_convex) trace.
+    Validates that eps_lo is nonconvex and eps_hi convex under
+    check_convexity's default verdict, then bisects the single transition;
+    pass a list as `record` to capture the (eps, margin, is_convex) trace.
     """
     if grid is None:
         grid = uniform_circle_grid(1024)
@@ -198,7 +201,7 @@ def critical_epsilon_gmm(
         raise ValueError("need 0 < eps_lo < eps_hi <= 1")
 
     def verdict(eps: float) -> bool:
-        report = check_convexity(gmm_profile(eps, grid).body(), tolerances=tolerances)
+        report = check_convexity(gmm_profile(eps, grid).body())
         if record is not None:
             record.append((eps, report.margin, report.is_convex))
         return report.is_convex
@@ -263,11 +266,6 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     return RadialGridBody(grid, radii)
 
 
-def population_optimum(profile: RadialProfile) -> StarBody:
-    """Convenience alias: the unit-volume optimal body for a profile."""
-    return optimal_body(profile).k_star
-
-
 def risk_identity_residual(result: OptimalBodyResult, grid: SphericalGrid) -> float:
     """Relative gap between achieved_risk and d * vol(L_P)^((d+alpha)/d)."""
     d = grid.dim
@@ -282,7 +280,6 @@ __all__ = [
     "critical_epsilon_gmm",
     "gmm_profile",
     "optimal_body",
-    "population_optimum",
     "risk_identity_residual",
     "support_body",
     "two_gaussian_mixture",

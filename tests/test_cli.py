@@ -195,7 +195,7 @@ def test_verify_suites_pass(tmp_path, suite):
 
 def test_verify_failure_maps_to_exit_4(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.VERIFY_SUITES, "lutwak",
-                        lambda seed, grid_n: (False, {"passed": False}))
+                        lambda grid, seed: (False, {"passed": False}))
     assert run("verify", "lutwak", "--out", tmp_path / "r.json") == 4
     assert read_json(tmp_path / "r.json")["passed"] is False
 
@@ -261,17 +261,57 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--config", bad) == 2
 
 
-def test_config_keys_match_parser():
-    # _CONFIG_COERCE is kept in sync with the parser by hand
-    parser = cli.build_parser()
-    (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
-    dests = {
-        a.dest
-        for sub in subparsers.choices.values()
-        for a in sub._actions
-        if a.option_strings
-    }
-    assert set(cli._CONFIG_COERCE) == dests - {"help", "config"}
+def test_config_bad_choice_fails_like_the_flag(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"format": "pdf"}))
+    out = tmp_path / "b.json"
+    assert run("optimal", "--density", "gmm-eps:0.5", "--out", out, "--grid-n", 64,
+               "--config", conf) == 2
+    from_config = capsys.readouterr().err.splitlines()[-1]
+    assert run("optimal", "--density", "gmm-eps:0.5", "--out", out, "--format", "pdf") == 2
+    assert from_config == capsys.readouterr().err.splitlines()[-1]
+    assert "invalid choice: 'pdf'" in from_config
+    assert not out.exists()
+
+
+def test_config_loses_to_an_abbreviated_flag(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"grid-n": 128}))
+    out = tmp_path / "p.csv"
+    assert run("rho", "--density", "gaussian-identity-2d", "--out", out,
+               "--config", conf, "--grid", 64) == 0
+    assert read_json(tmp_path / "p.meta.json")["grid_n"] == 64
+
+
+def test_config_values_are_typed_by_the_parser(tmp_path):
+    conf = tmp_path / "conf.json"
+    out = tmp_path / "p.csv"
+    for entry in ({"seed": 5.7}, {"grid-n": "many"}, {"out": [str(out)]}, {"density": True}):
+        conf.write_text(json.dumps(entry))
+        assert run("rho", "--density", "gaussian-identity-2d", "--out", out,
+                   "--config", conf) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.json"]
+
+
+def test_config_skips_keys_of_other_commands(tmp_path):
+    # --trials belongs to convexity, --family to fit; rho ignores both
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"trials": 8, "family": "union", "grid_n": 64, "alpha": None}))
+    out = tmp_path / "p.csv"
+    assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--config", conf) == 0
+    meta = read_json(tmp_path / "p.meta.json")
+    assert meta["grid_n"] == 64 and meta["alpha"] == 1.0
+
+
+def test_config_unknown_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    for key in ("grid", "help", "config"):
+        conf = tmp_path / f"{key}.json"
+        conf.write_text(json.dumps({key: 1}))
+        assert run("rho", "--density", "gaussian-identity-2d", "--out", out,
+                   "--config", conf) == 2
+        assert "unknown config key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_json_writer_precision_and_order():
@@ -298,8 +338,12 @@ def test_svg_structure(tmp_path):
     assert max(abs(c - 256.0) for c in coords) == pytest.approx(240.0, abs=0.01)
 
 
-def test_bad_flag_exits_2_and_help_exits_0(capsys):
-    assert run("rho", "--format", "exe") == 2
+def test_bad_flag_exits_2_and_help_exits_0(tmp_path, capsys):
+    assert run("optimal", "--format", "exe") == 2
+    # only optimal writes an svg
+    out = tmp_path / "p.csv"
+    assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--format", "svg") == 2
+    assert not out.exists()
     assert run("optimal", "--help") == 0
     assert run("verify", "no-such-suite") == 2
     capsys.readouterr()

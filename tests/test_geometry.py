@@ -68,11 +68,6 @@ def test_grid_validation():
         sb.SphericalGrid(2, np.array([[1.0, 0.0]]), np.array([-1.0]))
 
 
-def test_tolerances_positive():
-    with pytest.raises(ValueError):
-        sb.GeometryTolerances(convexity_margin_tol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Gauge and radial evaluation
 # ---------------------------------------------------------------------------

@@ -143,8 +143,7 @@ def test_convexity_rejects_zero_trials():
 def test_exact2d_and_sampled_agree():
     # The sampled probe sees the interpolated boundary, not the node polygon;
     # linear-in-rho interpolation perturbs the gauge at the ~1e-5 relative
-    # level on a 1024-node grid, so give it a matching decision tolerance.
-    loose = sb.GeometryTolerances(convexity_margin_tol=1e-5)
+    # level on a 1024-node grid, so judge its margin at that tolerance.
     rng = np.random.default_rng(21)
     theta = GRID.angles()
     checked = 0
@@ -157,10 +156,8 @@ def test_exact2d_and_sampled_agree():
         exact = opt.check_convexity(body)
         if abs(exact.margin) < 1e-4:
             continue  # borderline at grid resolution
-        sampled = opt.check_convexity(
-            sb.star_union([body]), trials=4000, seed=checked, tolerances=loose
-        )
-        assert exact.is_convex == sampled.is_convex
+        sampled = opt.check_convexity(sb.star_union([body]), trials=4000, seed=checked)
+        assert exact.is_convex == (sampled.margin >= -1e-5)
         checked += 1
     assert checked >= 40
 
