@@ -15,6 +15,8 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -604,6 +606,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser) -> dict:
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def _parse_leniently(argv):
+    """argv parsed with no option required, silently; None if it fails.
+
+    A --config file may supply a required option (--body, --data), so this
+    parse only finds the subcommand and the config path; the strict parse
+    of the spliced argv reports any error and prints any help.
+    """
+    parser = build_parser()
+    for sub in _subcommands(parser).values():
+        for action in sub._actions:
+            if action.option_strings:
+                action.required = False
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return parser.parse_args(argv)
+    except SystemExit:
+        return None
+
+
 def _config_argv(parser, args, argv) -> list:
     """argv with the --config file's entries spliced in as --key=value tokens.
 
@@ -614,10 +640,9 @@ def _config_argv(parser, args, argv) -> list:
     conf = json.loads(Path(args.config).read_text())
     if not isinstance(conf, dict):
         raise ValueError("config file must hold a JSON object")
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {
         name: {f for a in sub._actions for f in a.option_strings} - {"-h", "--help", "--config"}
-        for name, sub in subparsers.choices.items()
+        for name, sub in _subcommands(parser).items()
     }
     tokens = []
     for key, value in conf.items():
@@ -647,9 +672,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        found = _parse_leniently(argv)
+        if found is not None and found.config:
+            argv = _config_argv(parser, found, argv)
         args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(_config_argv(parser, args, argv))
     except SystemExit as exc:
         # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code) if exc.code else EXIT_OK

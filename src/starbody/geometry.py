@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
 from scipy.special import gamma as gamma_fn
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 NODE_NORM_TOL = 1e-12
 UNIT_INPUT_TOL = 1e-9
@@ -160,14 +159,38 @@ def fibonacci_sphere_grid(n: int = 1024) -> SphericalGrid:
     return SphericalGrid(3, nodes, weights, {"kind": "fibonacci3d", "n": n})
 
 
+def _first_primes(k: int) -> np.ndarray:
+    """The first k primes (k >= 1), sieved below Rosser's bound on the k-th."""
+    limit = 15 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 1
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    return np.flatnonzero(sieve)[:k]
+
+
 def low_discrepancy_sphere_grid(dim: int, n: int) -> SphericalGrid:
-    """Quasi-uniform nodes on S^{dim-1} for dim >= 4, equal weights."""
+    """Quasi-uniform nodes on S^{dim-1} for dim >= 4, equal weights.
+
+    Points 1..n of the unscrambled Halton sequence over the first dim primes
+    (point 0 is the origin of the cube) are mapped coordinate-wise through
+    the standard normal quantile Phi^{-1} and normalised onto the sphere.
+    """
     if dim < 4:
         raise ValueError("use the dedicated constructors for dim 2 and 3")
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)  # skip the all-zero first point
-    u = sampler.random(n)
-    g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    u = np.empty((n, dim))
+    for j, base in enumerate(_first_primes(dim)):
+        # radical inverse, digit by digit as in SciPy's qmc.Halton
+        seq = np.zeros(n)
+        q = np.arange(1, n + 1)
+        b2r = 1.0 / base
+        while q.any():
+            seq += (q % base) * b2r
+            b2r /= base
+            q //= base
+        u[:, j] = seq
+    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     nodes = g / norms[:, None]
@@ -276,6 +299,8 @@ class RadialGridBody(StarBody):
             self._order = order
             self._sorted_radii = radii[order]
         else:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(grid.nodes)
 
     def _interp_radial(self, dirs: np.ndarray) -> np.ndarray:
@@ -373,6 +398,8 @@ class DictionaryPolytopeBody(StarBody):
             self._facet_y = _freeze(np.array([[1.0], [-1.0]]) / self._signed[0, top])
             self._facet_vertices = np.array([[top], [(top + p) % (2 * p)]])
         elif _upper_bound_facets(2 * p, d) <= MAX_HULL_FACETS:
+            from scipy.spatial import ConvexHull
+
             hull = ConvexHull(self._signed.T, qhull_options="Qt")
             self._facet_y = _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
             self._facet_vertices = hull.simplices

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from starbody.density import RadialProfile, SampleSet, two_gaussian_mixture
 from starbody.geometry import (
@@ -234,6 +233,8 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     direction interpolates through, so the returned body contains every
     sample; nodes left empty inherit the nearest populated value.
     """
+    from scipy.spatial import cKDTree
+
     if grid is None:
         grid = make_grid(samples.dim)
     if samples.dim != grid.dim:

@@ -1,10 +1,13 @@
 """Command-line interface tests: outputs, determinism, exit codes."""
 
+import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +317,34 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_supplies_required_body(tmp_path, capsys):
+    body_path = tmp_path / "ell.json"
+    body_path.write_text(ge.body_to_json(ge.EllipsoidBody(np.diag([2.0, 1.0]))))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"body": str(body_path)}))
+    out = tmp_path / "verdict.json"
+    assert run("convexity", "--config", conf, "--out", out) == 0
+    assert read_json(out)["is_convex"] is True
+    # an explicit flag still wins over the config
+    conf.write_text(json.dumps({"body": str(tmp_path / "missing.json")}))
+    assert run("convexity", "--config", conf, "--body", body_path) == 0
+    assert json.loads(capsys.readouterr().out)["is_convex"] is True
+    # with neither, argparse still demands the option
+    assert run("convexity", "--out", out) == 2
+    assert "the following arguments are required: --body" in capsys.readouterr().err
+
+
+def test_config_supplies_required_data(tmp_path):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "data.csv"
+    dn.SampleSet(2, rng.standard_normal((300, 2)) @ np.diag([2.0, 1.0])).to_csv(data)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"data": str(data), "iters": 5}))
+    assert run("fit", "--config", conf, "--out", tmp_path / "a.json") == 0
+    assert run("fit", "--data", data, "--iters", 5, "--out", tmp_path / "b.json") == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
 def test_json_writer_precision_and_order():
     text = cli._json_text({"b": math.pi, "a": [1, True, None]})
     assert text.index('"a"') < text.index('"b"')
@@ -358,3 +389,15 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and (tmp_path / "p.meta.json").exists()
+
+
+def test_import_leaves_heavy_scipy_submodules_unloaded():
+    # checks which modules load, not how long that takes
+    code = ("import starbody.cli; import starbody.geometry as g; g.make_grid(4, 64); "
+            "import sys; print(sorted(sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout)
+    for heavy in ("scipy.stats", "scipy.spatial", "scipy.optimize"):
+        assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm, qmc
 
 import starbody as sb
-from starbody.geometry import radial_on_grid, support_function
+from starbody.geometry import _first_primes, low_discrepancy_sphere_grid, radial_on_grid, support_function
 
 GRID2 = sb.make_grid(2, 1024)
 GRID3 = sb.make_grid(3, 2048)
@@ -59,6 +60,24 @@ def test_higher_dim_grid():
     g = sb.make_grid(4, 512)
     assert np.allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-12)
     assert math.isclose(g.weights.sum(), 2 * np.pi**2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(4, 11))
+def test_halton_grid_equals_scipy_qmc_bit_for_bit(dim):
+    for n in (1, 2, 7, 64, 1000, 4096):
+        sampler = qmc.Halton(d=dim, scramble=False)
+        sampler.fast_forward(1)
+        g = norm.ppf(np.clip(sampler.random(n), 1e-12, 1.0 - 1e-12))
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0] = 1.0
+        expected = g / norms[:, None]
+        assert low_discrepancy_sphere_grid(dim, n).nodes.tobytes() == expected.tobytes()
+
+
+def test_first_primes():
+    naive = [q for q in range(2, 20_000) if all(q % f for f in range(2, math.isqrt(q) + 1))]
+    for k in (1, 2, 5, 6, 7, 10, 11, 100, len(naive)):
+        assert _first_primes(k).tolist() == naive[:k]
 
 
 def test_grid_validation():

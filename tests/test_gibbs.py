@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
-from scipy.stats import chisquare
+from scipy.stats import chisquare, gamma, kstest
 
 import starbody as sb
 from starbody import density as dn
@@ -132,6 +132,22 @@ def test_sampler_gauge_law_is_gamma():
         body = random_body(seed + 30)
         samples = gb.sample_gibbs(body, 30_000, seed=seed, grid=GRID)
         assert gb.gauge_ks_statistic(body, samples) < 1.63 / math.sqrt(30_000)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_gauge_ks_statistic_equals_scipy_kstest(dim):
+    # the closed form must reproduce kstest's statistic bit for bit
+    rng = np.random.default_rng(40 + dim)
+    B = rng.standard_normal((dim, dim))
+    bodies = [sb.EllipsoidBody(B @ B.T + np.eye(dim))]
+    if dim == 3:
+        grid = sb.make_grid(3, 256)
+        bodies.append(sb.RadialGridBody(grid, rng.uniform(0.5, 2.0, grid.n)))
+    for body in bodies:
+        for n in (1, 2, 1000, 50_000):
+            pts = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+            expected = kstest(body.gauge_many(pts), gamma(a=dim).cdf).statistic
+            assert gb.gauge_ks_statistic(body, dn.SampleSet(dim, pts)) == expected
 
 
 def test_sampler_gauge_mean():
