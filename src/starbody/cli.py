@@ -295,7 +295,7 @@ def _cmd_fit(args) -> int:
         p=args.p,
         L=args.L,
     )
-    report = ln.fit(samples, cfg)
+    report = ln.fit(samples, cfg, grid=ge.make_grid(samples.dim, args.grid_n))
     _write_body(args.out, report.body)
     if args.report:
         _emit_json(report.to_dict(), args.report)

@@ -30,6 +30,7 @@ from starbody.geometry import (
     body_to_dict,
     make_grid,
     radial_on_grid,
+    row_blocks,
     sphere_surface_area,
     uniform_circle_grid,
     volume,
@@ -521,6 +522,11 @@ def rho_empirical(
     spherical kernel exp(cos(angle)/h^2) normalized so that the weighted sum
     over nodes is 1 per sample.  Zero-norm samples carry no mass and are
     dropped with a warning.
+
+    The (nodes, samples) kernel is built in place, one block of samples at a
+    time (geometry.row_blocks), so it holds about 8 * CHUNK_ENTRIES bytes
+    (8 MiB) whatever the sample count and grid size; only a grid of more
+    than CHUNK_ENTRIES nodes needs more, one column of grid.n entries.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
@@ -537,15 +543,21 @@ def rho_empirical(
     dirs = X[keep] / norms[keep, None]
     kept_norms = norms[keep]
     h2 = bandwidth * bandwidth
-    acc = np.zeros(grid.n)
-    chunk = 8192
-    for start in range(0, dirs.shape[0], chunk):
-        v = dirs[start : start + chunk]
-        # cos(angle) - 1 keeps the exponent nonpositive, avoiding overflow
-        logk = (grid.nodes @ v.T - 1.0) / h2
-        k = np.exp(logk)
+    n = grid.n
+    blocks = row_blocks(len(dirs), n)
+    buf = np.empty(n * min(blocks[0].stop, len(dirs)))
+    acc = np.zeros(n)
+    for rows in blocks:
+        v = dirs[rows]
+        k = buf[: n * len(v)].reshape(n, len(v))
+        # exp((cos(angle) - 1) / h^2): the shift keeps the exponent
+        # nonpositive, avoiding overflow
+        np.matmul(grid.nodes, v.T, out=k)
+        np.subtract(k, 1.0, out=k)
+        np.divide(k, h2, out=k)
+        np.exp(k, out=k)
         denom = grid.weights @ k
-        acc += k @ (kept_norms[start : start + chunk] / denom)
+        acc += k @ (kept_norms[rows] / denom)
     mass = acc / samples.m
     if np.any(mass <= 0):
         raise ValueError(

@@ -31,7 +31,8 @@ UNIT_INPUT_TOL = 1e-9
 MAX_HULL_FACETS = 100_000
 # relative gap within which facets count as active (tied) at a point
 FACET_TIE_RTOL = 1e-10
-# facet-gauge work is done in row blocks of about this many (point, facet) scores
+# batched kernels (facet scores, IDW neighbours, the rho_empirical kernel) work
+# in row blocks of about this many float64 entries; see row_blocks
 CHUNK_ENTRIES = 1 << 20
 # a dictionary code z is rejected when ||A z - x|| exceeds this times 1 + ||x||
 CODING_FEAS_TOL = 1e-8
@@ -69,6 +70,16 @@ def _upper_bound_facets(n_vertices: int, dim: int) -> int:
     if dim % 2 == 0:
         return n * math.comb(n - k, k) // (n - k)
     return 2 * math.comb(n - k - 1, k)
+
+
+def row_blocks(n_rows: int, width: int) -> list:
+    """Row slices whose (rows, width) blocks hold about CHUNK_ENTRIES entries.
+
+    Every block has at least one row; n_rows = 0 gives one empty slice, so
+    callers that concatenate per-block results always get an array.
+    """
+    step = max(1, CHUNK_ENTRIES // width)
+    return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
 def _circle_cells(dirs: np.ndarray, n: int):
@@ -310,10 +321,18 @@ class RadialGridBody(StarBody):
             r = self._sorted_radii
             return (1.0 - frac) * r[j0] + frac * r[(j0 + 1) % n]
         k = min(self.K_NEIGHBORS, self.grid.n)
-        dist, idx = self._tree.query(dirs, k=k)
-        dist = np.atleast_2d(dist)
-        idx = np.atleast_2d(idx)
         out = np.empty(dirs.shape[0])
+        # each row's query and weights are independent, so blocks give the
+        # same bytes while the (rows, k) temporaries stay bounded
+        for rows in row_blocks(len(out), k):
+            out[rows] = self._idw(dirs[rows], k)
+        return out
+
+    def _idw(self, dirs: np.ndarray, k: int) -> np.ndarray:
+        dist, idx = self._tree.query(dirs, k=k)
+        dist = dist.reshape(len(dirs), k)
+        idx = idx.reshape(len(dirs), k)
+        out = np.empty(len(dirs))
         exact = dist[:, 0] < 1e-12
         out[exact] = self.radii[idx[exact, 0]]
         rest = ~exact
@@ -444,7 +463,8 @@ class DictionaryPolytopeBody(StarBody):
             Z = np.array([q[1] for q in parts]).reshape(len(points), -1)
             Y = np.array([q[2] for q in parts]).reshape(len(points), -1)
         else:
-            chunks = [self._facet_certificates(points[rows]) for rows in self._chunks(len(points))]
+            blocks = row_blocks(len(points), len(self._facet_y))
+            chunks = [self._facet_certificates(points[rows]) for rows in blocks]
             vals = np.concatenate([c[0] for c in chunks])
             Z = np.concatenate([c[1] for c in chunks])
             Y = np.concatenate([c[2] for c in chunks])
@@ -452,11 +472,6 @@ class DictionaryPolytopeBody(StarBody):
         if np.any(resid > CODING_FEAS_TOL * (1.0 + np.linalg.norm(points, axis=1))):
             raise UnboundedGaugeError("l1 coding violated feasibility tolerance")
         return vals, Z, Y
-
-    def _chunks(self, n: int):
-        """Row slices that keep each (rows, facets) score block near CHUNK_ENTRIES."""
-        step = max(1, CHUNK_ENTRIES // len(self._facet_y))
-        return [slice(i, i + step) for i in range(0, max(n, 1), step)]
 
     def _facet_certificates(self, X: np.ndarray):
         n, d = X.shape
@@ -505,9 +520,8 @@ class DictionaryPolytopeBody(StarBody):
         points = np.asarray(points, dtype=float)
         if self._facet_y is None:
             return self.gauge_certificate_many(points)[0]
-        return np.concatenate(
-            [np.max(points[rows] @ self._facet_y.T, axis=1) for rows in self._chunks(len(points))]
-        )
+        blocks = row_blocks(len(points), len(self._facet_y))
+        return np.concatenate([np.max(points[rows] @ self._facet_y.T, axis=1) for rows in blocks])
 
 
 class UnionBody(StarBody):

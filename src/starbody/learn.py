@@ -505,13 +505,17 @@ def fit_union_ellipsoids(
     )
 
 
-def fit(samples: SampleSet, cfg: FitConfig) -> RiskReport:
-    """Dispatch to the configured family's fitter."""
+def fit(samples: SampleSet, cfg: FitConfig, grid: SphericalGrid | None = None) -> RiskReport:
+    """Dispatch to the configured family's fitter.
+
+    `grid` is the quadrature grid of the union's volume normalization
+    (default make_grid(d)); the other families do not use one.
+    """
     if cfg.family == "ellipsoid":
         return fit_ellipsoid(samples, cfg)
     if cfg.family == "dictionary":
         return fit_dictionary(samples, cfg)
-    return fit_union_ellipsoids(samples, cfg)
+    return fit_union_ellipsoids(samples, cfg, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,27 @@ def test_fit_union_alias(tmp_path):
     assert body.dim == 2
 
 
+def test_fit_union_honors_grid_n(tmp_path):
+    """--grid-n is the union's volume-normalization grid; 1024 is the default."""
+    # a cross of two thin clusters, so the fit keeps two parts and normalizes their union
+    z = np.random.default_rng(4).standard_normal((300, 2))
+    samples = dn.SampleSet(2, np.vstack([z[:150] * [2.0, 0.2], z[150:] * [0.2, 2.0]]))
+    data = tmp_path / "data.csv"
+    samples.to_csv(data)
+
+    def fit_text(*flags):
+        out = tmp_path / "u.json"
+        assert run("fit", "--family", "union", "--data", data, "--out", out, "--L", 2, *flags) == 0
+        return out.read_text()
+
+    coarse, fine, default = fit_text("--grid-n", 64), fit_text("--grid-n", 1024), fit_text()
+    assert coarse != fine
+    assert default == fine
+    cfg = sb.learn.FitConfig(family="union_ellipsoids", L=2)
+    library = sb.learn.fit_union_ellipsoids(samples, cfg).body
+    assert ge.body_to_json(ge.body_from_json(default)) == ge.body_to_json(library)
+
+
 # ---------------------------------------------------------------------------
 # verify / reproduce
 # ---------------------------------------------------------------------------

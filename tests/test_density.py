@@ -1,12 +1,14 @@
 """Density specs, radial statistics, expected gauge, sampling, ingestion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import starbody as sb
 from starbody import density as dn
+from starbody import geometry as ge
 from starbody.geometry import radial_on_grid
 
 GRID = sb.make_grid(2, 1024)
@@ -177,6 +179,40 @@ def test_rho_empirical_drops_zero_norm_samples():
     with pytest.warns(UserWarning, match="zero-norm"):
         prof = dn.rho_empirical(dn.SampleSet(2, pts), GRID)
     assert np.all(prof.values > 0)
+
+
+def dense_rho_empirical(points, grid, bandwidth=dn.DEFAULT_BANDWIDTH):
+    """The estimator as one (nodes, samples) kernel, no blocks."""
+    norms = np.linalg.norm(points, axis=1)
+    K = np.exp((grid.nodes @ (points / norms[:, None]).T - 1.0) / bandwidth**2)
+    mass = K @ (norms / (grid.weights @ K)) / len(points)
+    return mass ** (1.0 / (grid.dim + 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rho_empirical_blocks_match_dense_kernel(d, monkeypatch):
+    grid = sb.make_grid(d, 128)
+    rng = np.random.default_rng(20 + d)
+    pts = rng.normal(size=(7 * 40 + 1, d)) @ rng.normal(size=(d, d))
+    dense = dense_rho_empirical(pts, grid)
+    # 7 samples per block: 40 full blocks and a 1-row tail
+    monkeypatch.setattr(ge, "CHUNK_ENTRIES", 7 * grid.n)
+    assert ge.row_blocks(len(pts), grid.n)[-1] == slice(280, 287)
+    blocked = dn.rho_empirical(dn.SampleSet(d, pts), grid).values
+    np.testing.assert_allclose(blocked, dense, rtol=1e-15, atol=0)
+
+
+def test_rho_empirical_memory_is_one_kernel_block():
+    """Python-side peak stays near one CHUNK_ENTRIES float64 block, not m x n."""
+    samples = dn.SampleSet(2, np.random.default_rng(5).normal(size=(20_000, 2)))
+    dn.rho_empirical(samples, GRID)
+    tracemalloc.start()
+    try:
+        dn.rho_empirical(samples, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * ge.CHUNK_ENTRIES
 
 
 def test_rho_empirical_rejects_bad_bandwidth_and_empty():

@@ -117,3 +117,19 @@ def test_gauge_many_in_row_blocks_matches_small_calls():
     assert np.allclose(body.gauge_many(X), pieces, rtol=1e-14, atol=0)
     vals = body.gauge_certificate_many(X)[0]
     assert np.allclose(vals, pieces, rtol=1e-14, atol=0)
+
+
+def test_gauge_many_same_bytes_in_small_row_blocks(monkeypatch):
+    A, rng = random_dictionary(5, 12)
+    body = sb.DictionaryPolytopeBody(A)
+    X = rng.normal(size=(500, 5))
+    whole = body.gauge_many(X)
+    cert = body.gauge_certificate_many(X)
+    facets = len(body._facet_y)
+    assert len(X) * facets < ge.CHUNK_ENTRIES  # one block by default
+    monkeypatch.setattr(ge, "CHUNK_ENTRIES", 7 * facets)
+    assert len(ge.row_blocks(len(X), facets)) == 72
+    assert body.gauge_many(X).tobytes() == whole.tobytes()
+    for a, b in zip(body.gauge_certificate_many(X), cert):
+        assert a.tobytes() == b.tobytes()
+    assert body.gauge_many(np.empty((0, 5))).shape == (0,)

@@ -138,6 +138,32 @@ def test_radial_grid_interpolation_3d():
     assert abs(body.radial(u) - (1.0 + 0.2 / 3)) < 0.05
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_radial_grid_idw_same_bytes_in_row_blocks(d, monkeypatch):
+    grid = sb.make_grid(d, 256)
+    rng = np.random.default_rng(d)
+    body = sb.RadialGridBody(grid, rng.uniform(0.5, 1.5, grid.n))
+    # random points plus scaled grid nodes, so some blocks hit the exact-node branch
+    X = np.vstack([rng.normal(size=(3000, d)), 2.0 * grid.nodes[::5]])
+    X = X[rng.permutation(len(X))]
+    whole = body.gauge_many(X)
+    k = body.K_NEIGHBORS
+    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 7 * k)
+    assert len(sb.geometry.row_blocks(len(X), k)) > 400
+    assert body.gauge_many(X).tobytes() == whole.tobytes()
+    assert body.radial_many(grid.nodes[:1]).tobytes() == body.radii[:1].tobytes()
+    assert body.radial_many(np.empty((0, d))).shape == (0,)
+
+
+def test_row_blocks(monkeypatch):
+    rb = sb.geometry.row_blocks
+    assert rb(10, sb.geometry.CHUNK_ENTRIES) == [slice(i, i + 1) for i in range(10)]
+    assert rb(0, 5) == [slice(0, sb.geometry.CHUNK_ENTRIES // 5)]  # one empty block
+    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 100)  # read at call time
+    assert rb(25, 8) == [slice(0, 12), slice(12, 24), slice(24, 36)]
+    assert rb(3, 1000) == [slice(0, 1), slice(1, 2), slice(2, 3)]  # at least one row
+
+
 # ---------------------------------------------------------------------------
 # Volume
 # ---------------------------------------------------------------------------
