@@ -62,7 +62,6 @@ from starbody.optimizer import (
     OptimalBodyResult,
     check_convexity,
     critical_epsilon_gmm,
-    gmm_profile,
     optimal_body,
     support_body,
 )

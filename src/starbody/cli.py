@@ -235,7 +235,7 @@ def _cmd_optimal(args) -> int:
         raise ValueError("optimal requires --out")
     profile, grid, source = _profile_from_args(args)
     result = op.optimal_body(profile)
-    verdict = op.check_convexity(result.k_star, seed=args.seed)
+    verdict = op.check_convexity(result.k_star)
     _write_body(args.out, result.k_star)
     if grid.dim == 2:
         _write_boundary_csv(_stem_path(args.out, ".boundary.csv"), result.k_star, grid)
@@ -257,7 +257,8 @@ def _cmd_optimal(args) -> int:
 
 def _cmd_convexity(args) -> int:
     body = _load_body(args.body)
-    report = op.check_convexity(body, trials=args.trials, seed=args.seed)
+    # a radial grid body is judged on its own grid, any other on --grid-n nodes
+    report = op.check_convexity(body, ge.make_grid(body.dim, args.grid_n))
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK
 
@@ -471,7 +472,7 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reproduce_l2_supports(outdir: Path, grid, seed: int) -> None:
+def _reproduce_l2_supports(outdir: Path, grid) -> None:
     theta = grid.angles()
     choices = {
         "const": np.full(grid.n, 0.4),
@@ -503,12 +504,11 @@ def _reproduce_l2_supports(outdir: Path, grid, seed: int) -> None:
     _emit_json(summary, outdir / "l2_supports_summary.json")
 
 
-def _reproduce_gmm_bodies(outdir: Path, grid, seed: int) -> None:
+def _reproduce_gmm_bodies(outdir: Path, grid) -> None:
     summary = {}
     for eps in (0.01, 0.1, 0.25, 0.75):
-        profile = op.gmm_profile(eps, grid)
-        result = op.optimal_body(profile)
-        verdict = op.check_convexity(result.k_star, seed=seed)
+        result = op.optimal_body(dn.rho_analytic(dn.two_gaussian_mixture(eps), grid))
+        verdict = op.check_convexity(result.k_star)
         base = str(outdir / f"gmm_body_eps_{eps}")
         _write_body(base + ".json", result.k_star)
         _write_boundary_csv(base + ".boundary.csv", result.k_star, grid)
@@ -521,7 +521,7 @@ def _reproduce_gmm_bodies(outdir: Path, grid, seed: int) -> None:
     _emit_json(summary, outdir / "gmm_bodies_summary.json")
 
 
-def _reproduce_gmm_critical_eps(outdir: Path, grid, seed: int) -> None:
+def _reproduce_gmm_critical_eps(outdir: Path, grid) -> None:
     record = []
     eps_c = op.critical_epsilon_gmm(grid, record=record)
     payload = {
@@ -544,7 +544,7 @@ REPRODUCE_FIGURES = {
 
 def _cmd_reproduce(args) -> int:
     grid = ge.make_grid(2, args.grid_n)
-    REPRODUCE_FIGURES[args.figure](Path(args.out or "."), grid, args.seed)
+    REPRODUCE_FIGURES[args.figure](Path(args.out or "."), grid)
     return EXIT_OK
 
 
@@ -581,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cvx = sub.add_parser("convexity", parents=[common], help="convexity verdict")
     p_cvx.add_argument("--body", required=True, help="body JSON path")
-    p_cvx.add_argument("--trials", type=int, default=512)
 
     p_gs = sub.add_parser("gibbs-sample", parents=[common], help="draw Gibbs samples")
     p_gs.add_argument("--body", required=True, help="body JSON path")

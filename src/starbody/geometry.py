@@ -82,6 +82,26 @@ def row_blocks(n_rows: int, width: int) -> list:
     return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
+def hull_facet_gradients(points: np.ndarray, qhull_options: str | None = None):
+    """Convex hull of points around the origin and its facet gradients.
+
+    Each facet hyperplane <n_f, x> = b_f gives y_f = n_f / b_f, so the
+    hull's gauge is max_f <y_f, x>.  Returns (hull, y) with y of shape
+    (F, d).  Raises ValueError when Qhull cannot build the hull (too few or
+    flat points) or when the origin is not interior to it (some b_f <= 0).
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = ConvexHull(points, qhull_options=qhull_options)
+    except QhullError as exc:
+        raise ValueError(f"no convex hull: {str(exc).splitlines()[0]}") from None
+    d = hull.points.shape[1]
+    if np.any(hull.equations[:, d] >= 0):
+        raise ValueError("the origin is not interior to the hull of the points")
+    return hull, _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
+
+
 def _circle_cells(dirs: np.ndarray, n: int):
     """Angle cell of planar directions on n equally spaced nodes.
 
@@ -417,10 +437,7 @@ class DictionaryPolytopeBody(StarBody):
             self._facet_y = _freeze(np.array([[1.0], [-1.0]]) / self._signed[0, top])
             self._facet_vertices = np.array([[top], [(top + p) % (2 * p)]])
         elif _upper_bound_facets(2 * p, d) <= MAX_HULL_FACETS:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(self._signed.T, qhull_options="Qt")
-            self._facet_y = _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
+            hull, self._facet_y = hull_facet_gradients(self._signed.T, "Qt")
             self._facet_vertices = hull.simplices
         if self._facet_y is not None:
             # Qt may split a non-simplicial facet into some zero-volume

@@ -2,34 +2,40 @@
 
 Turns a radial profile into the star body it defines and the unit-volume
 dilate that uniquely minimizes the expected gauge, diagnoses convexity of a
-body (exact cross-product test for planar radial grids, sampled gauge
-subadditivity otherwise), locates the convexity transition of the
-two-Gaussian mixture family, and estimates support bodies from samples.
+body in any dimension (ellipsoids and polytopes by construction, any other
+body exactly from the convex hull of its boundary points on a grid),
+locates the convexity transition of the two-Gaussian mixture family, and
+estimates support bodies from samples.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from starbody.density import RadialProfile, SampleSet, two_gaussian_mixture
+from starbody.density import RadialProfile, SampleSet, rho_analytic, two_gaussian_mixture
 from starbody.geometry import (
+    DictionaryPolytopeBody,
     DilateBody,
+    EllipsoidBody,
     RadialGridBody,
     SphericalGrid,
     StarBody,
     _circle_cells,
     body_to_dict,
     dual_mixed_volume,
+    hull_facet_gradients,
     make_grid,
+    radial_on_grid,
+    row_blocks,
     uniform_circle_grid,
     volume,
     volume_normalize,
 )
 
-# slack below which a negative convexity margin still counts as convex
+# relative radial depth inside the boundary points' hull up to which a node
+# still counts as on it, so the body as convex
 CONVEXITY_MARGIN_TOL = 1e-6
 
 
@@ -65,15 +71,9 @@ class ConvexityReport:
     is_convex: bool
     margin: float
     method: str
-    trials: int
 
     def to_dict(self) -> dict:
-        return {
-            "is_convex": self.is_convex,
-            "margin": self.margin,
-            "method": self.method,
-            "trials": self.trials,
-        }
+        return {"is_convex": self.is_convex, "margin": self.margin, "method": self.method}
 
 
 def optimal_body(profile: RadialProfile) -> OptimalBodyResult:
@@ -101,84 +101,50 @@ def optimal_body(profile: RadialProfile) -> OptimalBodyResult:
 # ---------------------------------------------------------------------------
 
 
-def _planar_vertices(body: StarBody):
-    """Boundary vertices in angular order for planar radial-grid bodies."""
-    scale = 1.0
-    while isinstance(body, DilateBody):
-        scale *= body.factor
-        body = body.base
-    if isinstance(body, RadialGridBody) and body.dim == 2:
-        order = np.argsort(body.grid.angles())
-        return scale * body.radii[order, None] * body.grid.nodes[order]
-    return None
-
-
 def check_convexity(
     body: StarBody,
-    trials: int = 512,
-    seed=0,
+    grid: SphericalGrid | None = None,
+    *,
+    trials=None,
+    seed=None,
 ) -> ConvexityReport:
-    """Convexity verdict with a scale-free margin.
+    """Convexity verdict from the convex hull of the boundary points.
 
-    Planar radial-grid bodies get the exact polygon test: consecutive edge
-    cross products, normalized by the edge lengths, must all be nonnegative.
-    Every other representation is probed by sampled gauge subadditivity on
-    random unit pairs, with the margin normalized by the gauge of the sum.
-    The body counts as convex when the margin is at least
-    -CONVEXITY_MARGIN_TOL.
+    Ellipsoids and dictionary polytopes are convex by construction and get
+    margin 0 without a hull.  Any other body (dilates are unwrapped, as the
+    verdict is scale-free) is sampled at the nodes u_i of its own grid if it
+    is a RadialGridBody, else of `grid` (default make_grid(d)); the margin
+    is min(0, min_i ||P_i||_H - 1), where H is the convex hull of the
+    boundary points P_i = rho(u_i) u_i.  It is the relative radial depth of
+    the deepest node inside H: 0 when every node lies on the hull, -1/2 when
+    some node sits halfway to the origin.  The body counts as convex when
+    the margin is at least -CONVEXITY_MARGIN_TOL.  Raises ValueError when
+    the origin is not interior to H.  `trials` and `seed` are accepted for
+    older callers and ignored: the verdict draws nothing.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    verts = _planar_vertices(body)
-    if verts is not None:
-        e1 = np.roll(verts, -1, axis=0) - verts
-        e2 = np.roll(verts, -2, axis=0) - np.roll(verts, -1, axis=0)
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        denom = np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        margin = float(np.min(cross / denom))
-        return ConvexityReport(
-            margin >= -CONVEXITY_MARGIN_TOL, margin, "exact2d", verts.shape[0]
-        )
-    rng = np.random.default_rng(seed)
-    d = body.dim
-    margin = np.inf
-    done = 0
-    while done < trials:
-        x = rng.standard_normal(d)
-        y = rng.standard_normal(d)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        if np.linalg.norm(x + y) < 1e-9:
-            continue
-        gx, gy, gxy = body.gauge_many(np.vstack([x, y, x + y]))
-        margin = min(margin, (gx + gy - gxy) / gxy)
-        done += 1
-    return ConvexityReport(
-        margin >= -CONVEXITY_MARGIN_TOL, float(margin), "sampled-subadditivity", trials
+    while isinstance(body, DilateBody):
+        body = body.base
+    if isinstance(body, (EllipsoidBody, DictionaryPolytopeBody)):
+        return ConvexityReport(True, 0.0, "closed-form")
+    if isinstance(body, RadialGridBody):
+        grid = body.grid
+    elif grid is None:
+        grid = make_grid(body.dim)
+    points = radial_on_grid(body, grid)[:, None] * grid.nodes
+    hull, y = hull_facet_gradients(points)
+    # only points that are not hull vertices can lie inside the hull
+    inner = np.delete(points, hull.vertices, axis=0)
+    gauge = min(
+        np.min(np.max(inner[rows] @ y.T, axis=1), initial=1.0)
+        for rows in row_blocks(len(inner), len(y))
     )
+    margin = min(0.0, float(gauge) - 1.0)
+    return ConvexityReport(margin >= -CONVEXITY_MARGIN_TOL, margin, "boundary-hull")
 
 
 # ---------------------------------------------------------------------------
 # Two-Gaussian mixture transition
 # ---------------------------------------------------------------------------
-
-
-def gmm_profile(eps: float, grid: SphericalGrid) -> RadialProfile:
-    """Closed-form radial statistic of the planar two-Gaussian mixture.
-
-    The cubed profile is c_eps * (||S1^(-1/2)u||^-3 + ||S2^(-1/2)u||^-3)
-    with S_i = eps*I + (1-eps) e_i e_i^T and
-    c_eps = sqrt(pi/2) / (4*pi*sqrt(eps)).
-    """
-    if grid.dim != 2:
-        raise ValueError("the mixture family is planar")
-    if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
-    u1, u2 = grid.nodes[:, 0], grid.nodes[:, 1]
-    q1 = np.sqrt(u1**2 + u2**2 / eps)  # S1 = diag(1, eps)
-    q2 = np.sqrt(u1**2 / eps + u2**2)
-    c = math.sqrt(math.pi / 2) / (4 * math.pi * math.sqrt(eps))
-    return RadialProfile(grid, (c * (q1**-3 + q2**-3)) ** (1 / 3), 1.0)
 
 
 def critical_epsilon_gmm(
@@ -200,7 +166,7 @@ def critical_epsilon_gmm(
         raise ValueError("need 0 < eps_lo < eps_hi <= 1")
 
     def verdict(eps: float) -> bool:
-        report = check_convexity(gmm_profile(eps, grid).body())
+        report = check_convexity(rho_analytic(two_gaussian_mixture(eps), grid).body())
         if record is not None:
             record.append((eps, report.margin, report.is_convex))
         return report.is_convex
@@ -246,8 +212,9 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     nz = norms > 0
     if not np.any(nz):
         raise ValueError("all samples are at the origin")
-    dirs = X[nz] / norms[nz, None]
     norms = norms[nz]
+    dirs = X[nz]
+    dirs /= norms[:, None]
     radii = np.zeros(grid.n)
     if grid.dim == 2:
         j0, _ = _circle_cells(dirs, grid.n)
@@ -255,10 +222,12 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
         np.maximum.at(radii, (j0 + 1) % grid.n, norms)
     else:
         k = min(RadialGridBody.K_NEIGHBORS, grid.n)
-        _, idx = cKDTree(grid.nodes).query(dirs, k=k)
-        idx = np.atleast_2d(idx)
-        for col in range(idx.shape[1]):
-            np.maximum.at(radii, idx[:, col], norms)
+        tree = cKDTree(grid.nodes)
+        # the max is order-free, so row blocks give the same radii while
+        # the (rows, k) neighbour arrays stay bounded
+        for rows in row_blocks(len(dirs), k):
+            _, idx = tree.query(dirs[rows], k=k)
+            np.maximum.at(radii, idx.reshape(-1, k), norms[rows, None])
     empty = radii == 0
     if np.any(empty):
         filled = np.flatnonzero(~empty)
@@ -279,7 +248,6 @@ __all__ = [
     "OptimalBodyResult",
     "check_convexity",
     "critical_epsilon_gmm",
-    "gmm_profile",
     "optimal_body",
     "risk_identity_residual",
     "support_body",

@@ -133,8 +133,8 @@ def test_criterion_05_gmm_critical_epsilon():
     start = time.monotonic()
     eps_c = op.critical_epsilon_gmm(GRID)
     assert 0.30 < eps_c < 0.45
-    hi = op.check_convexity(sb.optimal_body(op.gmm_profile(0.75, GRID)).k_star)
-    lo = op.check_convexity(sb.optimal_body(op.gmm_profile(0.10, GRID)).k_star)
+    hi = op.check_convexity(sb.optimal_body(sb.rho_analytic(dn.two_gaussian_mixture(0.75), GRID)).k_star)
+    lo = op.check_convexity(sb.optimal_body(sb.rho_analytic(dn.two_gaussian_mixture(0.10), GRID)).k_star)
     assert hi.is_convex
     assert not lo.is_convex
     elapsed = time.monotonic() - start

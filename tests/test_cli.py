@@ -298,6 +298,35 @@ def test_config_bad_choice_fails_like_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_convexity_grid_n_applies_to_bodies_without_a_grid(tmp_path, capsys):
+    # a cross-shaped mixture, so the fitted union of two ellipses is not convex
+    data = tmp_path / "data.csv"
+    dn.sample_density(dn.two_gaussian_mixture(0.05), 1000, seed=6).to_csv(data)
+    union = tmp_path / "union.json"
+    assert run("fit", "--family", "union", "--data", data, "--iters", 5, "--out", union) == 0
+    radial = tmp_path / "radial.json"
+    assert run("optimal", "--density", "gmm-eps:0.25", "--out", radial, "--grid-n", 256) == 0
+    capsys.readouterr()
+    for body, differ in ((union, True), (radial, False)):
+        outputs = []
+        for n in (64, 1024):
+            assert run("convexity", "--body", body, "--grid-n", n) == 0
+            outputs.append(capsys.readouterr().out)
+        margins = [json.loads(o)["margin"] for o in outputs]
+        assert (margins[0] != margins[1]) == differ
+        assert (outputs[0] != outputs[1]) == differ
+
+
+def test_convexity_of_points_missing_the_origin_exits_2(tmp_path, capsys):
+    nodes = ge.make_grid(3, 128).nodes
+    half = nodes[nodes[:, 2] > 0.1]
+    grid = ge.SphericalGrid(3, half, np.full(len(half), 0.1))
+    body_path = tmp_path / "half.json"
+    body_path.write_text(ge.body_to_json(ge.RadialGridBody(grid, np.ones(len(half)))))
+    assert run("convexity", "--body", body_path) == 2
+    assert "origin is not interior" in capsys.readouterr().err
+
+
 def test_config_loses_to_an_abbreviated_flag(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"grid-n": 128}))
@@ -318,9 +347,9 @@ def test_config_values_are_typed_by_the_parser(tmp_path):
 
 
 def test_config_skips_keys_of_other_commands(tmp_path):
-    # --trials belongs to convexity, --family to fit; rho ignores both
+    # --iters and --family belong to fit; rho ignores both
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"trials": 8, "family": "union", "grid_n": 64, "alpha": None}))
+    conf.write_text(json.dumps({"iters": 8, "family": "union", "grid_n": 64, "alpha": None}))
     out = tmp_path / "p.csv"
     assert run("rho", "--density", "gaussian-identity-2d", "--out", out, "--config", conf) == 0
     meta = read_json(tmp_path / "p.meta.json")
@@ -329,7 +358,7 @@ def test_config_skips_keys_of_other_commands(tmp_path):
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     out = tmp_path / "p.csv"
-    for key in ("grid", "help", "config"):
+    for key in ("grid", "help", "config", "trials"):
         conf = tmp_path / f"{key}.json"
         conf.write_text(json.dumps({key: 1}))
         assert run("rho", "--density", "gaussian-identity-2d", "--out", out,

@@ -193,7 +193,7 @@ def test_fit_union_beats_single_ellipsoid_on_gmm():
     trace = np.array(union.risk_trace)
     assert np.all(np.diff(trace) <= 1e-12)
     assert union.final_risk < single.final_risk - 0.05
-    assert not check_convexity(union.body, trials=2048, seed=0).is_convex
+    assert not check_convexity(union.body, GRID).is_convex
     assert sb.volume(union.body, GRID) == pytest.approx(1.0, rel=1e-9)
 
 

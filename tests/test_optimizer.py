@@ -1,5 +1,7 @@
 """Optimal bodies, convexity diagnostics, mixture transition, support hulls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,20 @@ GRID = sb.make_grid(2, 1024)
 def ellipse_radial(semi_axes, nodes):
     q = np.sqrt((nodes[:, 0] / semi_axes[0]) ** 2 + (nodes[:, 1] / semi_axes[1]) ** 2)
     return 1.0 / q
+
+
+def gmm_profile(eps, grid):
+    """Closed-form radial statistic of the planar two-Gaussian mixture.
+
+    The cubed profile is c_eps * (||S1^(-1/2)u||^-3 + ||S2^(-1/2)u||^-3)
+    with S_i = eps*I + (1-eps) e_i e_i^T and
+    c_eps = sqrt(pi/2) / (4*pi*sqrt(eps)).
+    """
+    u1, u2 = grid.nodes[:, 0], grid.nodes[:, 1]
+    q1 = np.sqrt(u1**2 + u2**2 / eps)  # S1 = diag(1, eps)
+    q2 = np.sqrt(u1**2 / eps + u2**2)
+    c = np.sqrt(np.pi / 2) / (4 * np.pi * np.sqrt(eps))
+    return dn.RadialProfile(grid, (c * (q1**-3 + q2**-3)) ** (1 / 3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -97,69 +113,125 @@ def test_alpha_invariance_for_gauge_induced_sources():
 # ---------------------------------------------------------------------------
 
 
+def cross_product_margin(body):
+    """Planar polygon oracle: the smallest consecutive-edge cross product over
+    the edge lengths; the node polygon is convex when it is nonnegative."""
+    order = np.argsort(body.grid.angles())
+    verts = body.radii[order, None] * body.grid.nodes[order]
+    e1 = np.roll(verts, -1, axis=0) - verts
+    e2 = np.roll(e1, -1, axis=0)
+    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    return float(np.min(cross / (np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1))))
+
+
+def random_covariance(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return (q * rng.uniform(0.25, 4.0, d)) @ q.T
+
+
+def cross_union(d):
+    """Union of two thin ellipsoids along e1 and e2: a plus sign, not convex."""
+    a, b = np.full(d, 0.05), np.full(d, 0.05)
+    a[0] = b[1] = 1.0
+    return sb.star_union([sb.EllipsoidBody(np.diag(a)), sb.EllipsoidBody(np.diag(b))])
+
+
 def test_convexity_ellipsoid():
-    report = opt.check_convexity(sb.EllipsoidBody(np.diag([2.0, 1.0])), seed=1)
-    assert report.is_convex
-    assert report.method == "sampled-subadditivity"
-    assert report.margin >= 0
+    # ellipsoids and dictionary polytopes are convex by construction: no hull
+    bodies = [
+        sb.EllipsoidBody(np.diag([2.0, 1.0])),
+        sb.EllipsoidBody(np.diag([2.0, 1.0, 0.5, 0.25])),
+        sb.DictionaryPolytopeBody(np.random.default_rng(3).normal(size=(5, 10))),
+        sb.dilate(sb.DictionaryPolytopeBody(np.eye(3)), 2.0),
+    ]
+    for body in bodies:
+        report = opt.check_convexity(body)
+        assert report == opt.ConvexityReport(True, 0.0, "closed-form")
+        assert report.is_convex is True
 
 
 def test_convexity_cross_union_is_nonconvex():
-    union = sb.star_union(
-        [sb.EllipsoidBody(np.diag([1.0, 0.05])), sb.EllipsoidBody(np.diag([0.05, 1.0]))]
-    )
-    report = opt.check_convexity(union, trials=512, seed=2)
-    assert not report.is_convex
-    assert report.margin < 0
+    for d in (2, 3, 4):
+        report = opt.check_convexity(cross_union(d))
+        assert report.is_convex is False
+        assert report.method == "boundary-hull"
+        assert report.margin < -0.5
 
 
 def test_convexity_gmm_bodies():
-    convex = opt.check_convexity(opt.gmm_profile(0.75, GRID).body())
-    assert convex.method == "exact2d"
-    assert convex.is_convex
-    nonconvex = opt.check_convexity(opt.gmm_profile(0.1, GRID).body())
-    assert not nonconvex.is_convex
+    convex = opt.check_convexity(gmm_profile(0.75, GRID).body())
+    assert convex.method == "boundary-hull"
+    assert convex.is_convex is True
+    assert convex.margin == 0.0
+    nonconvex = opt.check_convexity(gmm_profile(0.1, GRID).body())
+    assert nonconvex.is_convex is False
+    assert -1.0 < nonconvex.margin < 0.0
 
 
-def test_convexity_dilate_unwraps_to_exact2d():
-    body = sb.dilate(opt.gmm_profile(0.75, GRID).body(), 3.0)
-    report = opt.check_convexity(body)
-    assert report.method == "exact2d"
-    assert report.is_convex
+def test_convexity_dilate_unwraps_to_its_grid():
+    body = gmm_profile(0.1, GRID).body()
+    direct = opt.check_convexity(body)
+    # a radial grid body is judged on its own nodes whatever grid is passed
+    assert opt.check_convexity(sb.dilate(body, 3.0), sb.make_grid(2, 64)) == direct
 
 
 def test_convexity_margin_is_scale_free():
-    body = opt.gmm_profile(0.1, GRID).body()
-    m1 = opt.check_convexity(body).margin
-    m2 = opt.check_convexity(sb.dilate(body, 7.0)).margin
-    assert m1 == pytest.approx(m2, rel=1e-9)
+    for body in (gmm_profile(0.1, GRID).body(), cross_union(3)):
+        m1 = opt.check_convexity(body).margin
+        m2 = opt.check_convexity(sb.dilate(body, 7.0)).margin
+        assert m1 == m2 < 0
 
 
-def test_convexity_rejects_zero_trials():
-    with pytest.raises(ValueError):
-        opt.check_convexity(sb.EllipsoidBody(np.eye(2)), trials=0)
+def test_convexity_grid_applies_to_bodies_without_one():
+    union = cross_union(3)
+    coarse = opt.check_convexity(union, sb.make_grid(3, 64))
+    fine = opt.check_convexity(union, sb.make_grid(3, 1024))
+    assert coarse.margin != fine.margin
+    assert opt.check_convexity(union) == fine  # make_grid(d) by default
 
 
-def test_exact2d_and_sampled_agree():
-    # The sampled probe sees the interpolated boundary, not the node polygon;
-    # linear-in-rho interpolation perturbs the gauge at the ~1e-5 relative
-    # level on a 1024-node grid, so judge its margin at that tolerance.
+def test_hull_verdict_matches_planar_cross_product_oracle():
     rng = np.random.default_rng(21)
     theta = GRID.angles()
-    checked = 0
+    verdicts = []
     for _ in range(50):
         rho = np.full(GRID.n, 1.0)
         for k in range(1, 4):
             rho += rng.uniform(-0.35, 0.35) / k * np.cos(k * theta + rng.uniform(0, 2 * np.pi))
-        rho = np.maximum(rho, 0.2)
-        body = sb.RadialGridBody(GRID, rho)
-        exact = opt.check_convexity(body)
-        if abs(exact.margin) < 1e-4:
-            continue  # borderline at grid resolution
-        sampled = opt.check_convexity(sb.star_union([body]), trials=4000, seed=checked)
-        assert exact.is_convex == (sampled.margin >= -1e-5)
-        checked += 1
-    assert checked >= 40
+        body = sb.RadialGridBody(GRID, np.maximum(rho, 0.2))
+        verdicts.append(opt.check_convexity(body).is_convex)
+        assert verdicts[-1] == (cross_product_margin(body) >= -opt.CONVEXITY_MARGIN_TOL)
+    assert 10 < sum(verdicts) < 40  # both verdicts occur
+    for eps in np.linspace(0.05, 0.95, 37):
+        body = gmm_profile(eps, GRID).body()
+        expected = cross_product_margin(body) >= -opt.CONVEXITY_MARGIN_TOL
+        assert opt.check_convexity(body).is_convex == expected
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_convexity_of_gaussian_optimal_bodies_in_higher_dimensions(d):
+    grid = sb.make_grid(d, 2048)
+    for seed in range(3):
+        cov = random_covariance(np.random.default_rng([d, seed]), d)
+        res = opt.optimal_body(dn.rho_analytic(dn.GaussianDensity(cov), grid))
+        report = opt.check_convexity(res.k_star)
+        assert report.is_convex is True
+        assert report.margin >= -1e-12
+
+
+def test_convexity_rejects_points_that_miss_the_origin():
+    nodes = sb.make_grid(3, 256).nodes
+    t = 2 * np.pi * np.arange(16) / 16
+    equator = np.column_stack([np.cos(t), np.sin(t), np.zeros(16)])
+    cases = [
+        (nodes[nodes[:, 2] > 0.1], "origin is not interior"),  # one hemisphere
+        (equator, "no convex hull"),  # flat
+        (nodes[:3], "no convex hull"),  # too few points
+    ]
+    for part, message in cases:
+        body = sb.RadialGridBody(sb.SphericalGrid(3, part, np.full(len(part), 0.1)), np.ones(len(part)))
+        with pytest.raises(ValueError, match=message):
+            opt.check_convexity(body)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +241,7 @@ def test_exact2d_and_sampled_agree():
 
 def test_gmm_profile_matches_generic_radial_statistic():
     for eps in (0.1, 0.4, 0.9):
-        closed = opt.gmm_profile(eps, GRID).values
+        closed = gmm_profile(eps, GRID).values
         generic = dn.rho_analytic(dn.two_gaussian_mixture(eps), GRID).values
         assert np.allclose(closed, generic, rtol=1e-12)
 
@@ -177,7 +249,7 @@ def test_gmm_profile_matches_generic_radial_statistic():
 def test_critical_epsilon_in_expected_bracket():
     trace = []
     eps_c = opt.critical_epsilon_gmm(GRID, record=trace)
-    assert 0.30 < eps_c < 0.45
+    assert eps_c == 0.38398437500000004
     assert trace[0][0] == 0.05 and not trace[0][2]
     assert trace[1][0] == 0.95 and trace[1][2]
 
@@ -188,10 +260,14 @@ def test_critical_epsilon_requires_sign_change():
 
 
 def test_gmm_profile_validation():
-    with pytest.raises(ValueError):
-        opt.gmm_profile(0.0, GRID)
-    with pytest.raises(ValueError):
-        opt.gmm_profile(0.5, sb.make_grid(3, 64))
+    # the mixture's profile comes from rho_analytic, which checks eps and the
+    # grid dimension for critical_epsilon_gmm
+    with pytest.raises(ValueError, match="eps"):
+        opt.critical_epsilon_gmm(GRID, eps_lo=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        dn.two_gaussian_mixture(0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        opt.critical_epsilon_gmm(sb.make_grid(3, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +314,45 @@ def test_support_body_3d_containment():
     pts = rng.normal(size=(2000, 3))
     body = opt.support_body(dn.SampleSet(3, pts), grid3)
     assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
+
+
+def dense_support_radii(pts, grid):
+    """support_body's d >= 3 node radii with all k-d tree queries at once."""
+    from scipy.spatial import cKDTree
+
+    norms = np.linalg.norm(pts, axis=1)
+    _, idx = cKDTree(grid.nodes).query(pts / norms[:, None], k=8)
+    radii = np.zeros(grid.n)
+    for col in range(8):
+        np.maximum.at(radii, idx[:, col], norms)
+    return radii
+
+
+def test_support_body_same_radii_in_row_blocks(monkeypatch):
+    grid3 = sb.make_grid(3, 256)
+    pts = np.random.default_rng(41).normal(size=(5 * 100 + 3, 3))
+    dense = dense_support_radii(pts, grid3)
+    assert np.all(dense > 0)
+    # 100 directions per block: 5 full blocks and a 3-row tail
+    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 100 * 8)
+    blocked = opt.support_body(dn.SampleSet(3, pts), grid3).radii
+    assert blocked.tobytes() == dense.tobytes()
+
+
+def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
+    """Python-side peak stays below two copies of the samples plus a few
+    (rows, k) neighbour blocks, rather than growing as m x k."""
+    grid3 = sb.make_grid(3, 256)
+    samples = dn.SampleSet(3, np.random.default_rng(43).normal(size=(100_000, 3)))
+    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 1 << 13)
+    opt.support_body(samples, grid3)
+    tracemalloc.start()
+    try:
+        opt.support_body(samples, grid3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * samples.points.nbytes + 4 * 8 * sb.geometry.CHUNK_ENTRIES
 
 
 def test_support_body_needs_enough_samples():
