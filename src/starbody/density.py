@@ -14,12 +14,12 @@ samples with a spherical kernel, and evaluates expected gauges
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from starbody.geometry import (
     NumericalFailure,
@@ -66,6 +66,116 @@ def _as_rng(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def write_csv(path, rows, header: str = "") -> None:
+    """Write rows as FLOAT_FMT fields joined by commas, one line per row.
+
+    The bytes are those of np.savetxt(path, rows, fmt=FLOAT_FMT,
+    delimiter=",", header=header): a header becomes "# header" lines.  Each
+    row block is formatted by one % over a repeated line format; the blocks
+    come from geometry.row_blocks with a formatted entry counted as ten
+    float64s (a Python float, its text and its encoded bytes).
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for block in row_blocks(rows.shape[0], 10 * rows.shape[1]):
+            part = rows[block]
+            fh.write((line * part.shape[0]) % tuple(part.ravel().tolist()))
+
+
+def read_csv(path):
+    """Rows of a comma-separated numeric file and its "# dim=" header.
+
+    Returns (rows, dim): rows of shape (m, fields), m = 0 when the file has
+    no data row, and dim from the last "# dim=<int>" comment line, None
+    without one.  Blank and "#" lines are skipped.  Parsing is one
+    np.loadtxt call (a second one after dropping whitespace-only lines);
+    errors name the offending file line.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    dim = None
+    for lineno, value in _dim_headers(text):
+        try:
+            dim = int(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed dim header") from None
+    try:
+        rows = _loadtxt(text)
+    except ValueError:
+        # loadtxt reads a whitespace-only line as a row of one empty field
+        rows = _loadtxt(_checked_data_lines(text))
+    if dim is not None and rows.shape[0] and rows.shape[1] != dim:
+        _checked_data_lines(text)  # names the first row that disagrees with a header above it
+    return rows, dim
+
+
+def _loadtxt(text) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(io.StringIO(text), delimiter=",", comments="#", ndmin=2)
+
+
+def _dim_value(line: str):
+    """The value text of a stripped "# dim=<value>" comment line, else None."""
+    if line.startswith("#"):
+        stripped = line.lstrip("#").strip()
+        if stripped.startswith("dim="):
+            return stripped[4:]
+    return None
+
+
+def _dim_headers(text: str):
+    """(line number, value text) of every "# dim=<value>" line of text."""
+    lineno, counted = 1, 0
+    at = text.find("dim=")
+    while at >= 0:
+        start = text.rfind("\n", 0, at) + 1
+        end = text.find("\n", at)
+        end = len(text) if end < 0 else end
+        value = _dim_value(text[start:end].strip())
+        if value is not None:
+            lineno += text.count("\n", counted, start)
+            counted = start
+            yield lineno, value
+        at = text.find("dim=", end)
+
+
+def _checked_data_lines(text: str) -> str:
+    """The data lines of text; raises at the first line with a bad field.
+
+    A line is bad when a field is not a float or when its field count
+    differs from the dim header above it (or, without one, from the first
+    data line).
+    """
+    width = None
+    kept = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            value = _dim_value(line)
+            if value is not None:
+                width = int(value)
+            continue
+        fields = line.split(",")
+        try:
+            [float(v) for v in fields]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {line!r}") from None
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(fields)}")
+        kept.append(line)
+    return "\n".join(kept)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """m points in R^d with optional ingestion metadata."""
@@ -90,41 +200,14 @@ class SampleSet:
         return self.points.shape[0]
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            np.savetxt(fh, self.points, fmt=FLOAT_FMT, delimiter=",", header=f"dim={self.dim}")
+        write_csv(path, self.points, header=f"dim={self.dim}")
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
-        dim = None
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    stripped = line.lstrip("#").strip()
-                    if stripped.startswith("dim="):
-                        try:
-                            dim = int(stripped[4:])
-                        except ValueError:
-                            raise ValueError(f"line {lineno}: malformed dim header")
-                    continue
-                fields = line.split(",")
-                try:
-                    row = [float(v) for v in fields]
-                except ValueError:
-                    raise ValueError(f"line {lineno}: non-numeric field in {line!r}")
-                if dim is None:
-                    dim = len(row)
-                elif len(row) != dim:
-                    raise ValueError(
-                        f"line {lineno}: expected {dim} fields, got {len(row)}"
-                    )
-                rows.append(row)
-        if not rows:
+        rows, dim = read_csv(path)
+        if rows.shape[0] == 0:
             raise ValueError("no sample rows found")
-        return cls(dim, np.asarray(rows, dtype=float), {"path": str(path)})
+        return cls(rows.shape[1] if dim is None else dim, rows, {"path": str(path)})
 
 
 @dataclass(frozen=True)
@@ -152,25 +235,13 @@ class RadialProfile:
     def to_csv(self, path) -> None:
         """Rows of (angle or node index, node components, value)."""
         lead = self.grid.angles() if self.grid.dim == 2 else np.arange(self.grid.n)
-        rows = np.column_stack([lead, self.grid.nodes, self.values])
-        with open(path, "w") as fh:
-            np.savetxt(fh, rows, fmt=FLOAT_FMT, delimiter=",")
+        write_csv(path, np.column_stack([lead, self.grid.nodes, self.values]))
 
     @classmethod
     def from_csv(cls, path, grid: SphericalGrid | None = None, alpha: float = 1.0):
-        rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    rows.append([float(v) for v in line.split(",")])
-                except ValueError:
-                    raise ValueError(f"line {lineno}: non-numeric field")
-        if not rows:
+        arr = read_csv(path)[0]
+        if arr.shape[0] == 0:
             raise ValueError("no profile rows found")
-        arr = np.asarray(rows, dtype=float)
         dim = arr.shape[1] - 2
         if dim < 2:
             raise ValueError("profile rows need an index, d node components, a value")
@@ -294,9 +365,9 @@ _PROFILE_NAMES = ("exp", "gauss", "indicator")
 def _profile_moment(profile: str, s: float) -> float:
     """integral_0^inf t^(s-1) psi(t) dt for the supported profiles."""
     if profile == "exp":
-        return math.exp(gammaln(s))
+        return math.gamma(s)
     if profile == "gauss":
-        return 2.0 ** (s / 2.0 - 1.0) * math.exp(gammaln(s / 2.0))
+        return 2.0 ** (s / 2.0 - 1.0) * math.gamma(s / 2.0)
     if profile == "indicator":
         return 1.0 / s
     raise ValueError(f"unsupported gauge profile: {profile!r}")
@@ -405,7 +476,7 @@ def _polar_proposal(body: StarBody, grid: SphericalGrid, n: int, rng: np.random.
     u = rng.standard_normal((n, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     r = rng.gamma(d, rho_max, size=n)
-    log_const = math.log(sphere_surface_area(d)) + float(gammaln(d)) + d * math.log(rho_max)
+    log_const = math.log(sphere_surface_area(d)) + math.lgamma(d) + d * math.log(rho_max)
     return u, r, log_const + r / rho_max
 
 

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import ndtri
 
 NODE_NORM_TOL = 1e-12
 UNIT_INPUT_TOL = 1e-9
@@ -52,12 +50,12 @@ class DegenerateDirectionError(NumericalFailure):
 
 def sphere_surface_area(dim: int) -> float:
     """Surface area of the unit sphere in R^dim (2*pi for dim=2)."""
-    return 2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit Euclidean ball in R^dim."""
-    return math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0 + 1.0)
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def _upper_bound_facets(n_vertices: int, dim: int) -> int:
@@ -208,6 +206,8 @@ def low_discrepancy_sphere_grid(dim: int, n: int) -> SphericalGrid:
     (point 0 is the origin of the cube) are mapped coordinate-wise through
     the standard normal quantile Phi^{-1} and normalised onto the sphere.
     """
+    from scipy.special import ndtri
+
     if dim < 4:
         raise ValueError("use the dedicated constructors for dim 2 and 3")
     u = np.empty((n, dim))

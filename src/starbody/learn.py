@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from starbody.density import (
     DensitySpec,
@@ -612,7 +611,7 @@ def lln_probe(
 
 def gaussian_norm_mean(dim: int) -> float:
     """E||z||_2 for a standard Gaussian: sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
-    return math.sqrt(2.0) * math.exp(gammaln((dim + 1) / 2.0) - gammaln(dim / 2.0))
+    return math.sqrt(2.0) * math.exp(math.lgamma((dim + 1) / 2.0) - math.lgamma(dim / 2.0))
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,11 @@ def test_optimal_gmm_outputs(tmp_path):
     assert meta["volume_check"] == pytest.approx(1.0, rel=1e-9)
     body = ge.body_from_json(out.read_text())
     assert body.dim == 2
-    assert (tmp_path / "body.boundary.csv").exists()
     assert (tmp_path / "body.boundary.svg").exists()
+    # the boundary file holds the bytes np.savetxt writes for the polyline
+    poly = ge.make_grid(2, 512).nodes * ge.radial_on_grid(body, ge.make_grid(2, 512))[:, None]
+    np.savetxt(tmp_path / "ref.csv", poly, fmt="%.17g", delimiter=",", header="x,y")
+    assert (tmp_path / "body.boundary.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_optimal_uniform_l1_matches_scaled_l1_ball(tmp_path):
@@ -222,6 +225,49 @@ def test_verify_failure_maps_to_exit_4(tmp_path, monkeypatch):
                         lambda grid, seed: (False, {"passed": False}))
     assert run("verify", "lutwak", "--out", tmp_path / "r.json") == 4
     assert read_json(tmp_path / "r.json")["passed"] is False
+
+
+@pytest.mark.parametrize("seed", [5, 32, 327, 374])
+def test_verify_gibbs_passes_seeds_the_old_ks_bound_failed(tmp_path, seed):
+    # 1.63/sqrt(n) failed a correct sampler on these seeds (about 1% of all)
+    out = tmp_path / "g.json"
+    assert run("verify", "gibbs", "--seed", seed, "--out", out) == 0
+    report = read_json(out)
+    assert report["false_alarm_rate"] == 1e-6
+    assert report["ks_bound"] == pytest.approx(2.6934 / math.sqrt(report["n"]), rel=1e-4)
+
+
+def test_verify_gibbs_catches_radii_off_by_3_percent(tmp_path, monkeypatch):
+    exact = cli.gb.sample_gibbs
+
+    def scaled(*args, **kwargs):
+        s = exact(*args, **kwargs)
+        return dn.SampleSet(s.dim, 1.03 * s.points, s.source)
+
+    monkeypatch.setattr(cli.gb, "sample_gibbs", scaled)
+    out = tmp_path / "g.json"
+    assert run("verify", "gibbs", "--out", out) == 4
+    assert read_json(out)["ks_statistic"] > read_json(out)["ks_bound"]
+
+
+def test_verify_lipschitz_bound_holds_and_is_nearly_tight(tmp_path):
+    # the seed whose bodies broke the old 1/r bound
+    out = tmp_path / "l.json"
+    assert run("verify", "lipschitz", "--seed", 855075663, "--out", out) == 0
+    report = read_json(out)
+    assert report["worst_violation"] <= report["slack"]
+    assert report["max_bound_ratio"] > 0.999
+
+
+def test_verify_lipschitz_catches_a_gauge_with_jumps(tmp_path, monkeypatch):
+    exact = ge.RadialGridBody.gauge_many
+
+    def jumpy(self, points):
+        # steps of 0.01 every 1e-4 in norm
+        return exact(self, points) + 0.01 * (np.floor(1e4 * np.linalg.norm(points, axis=1)) % 2)
+
+    monkeypatch.setattr(ge.RadialGridBody, "gauge_many", jumpy)
+    assert run("verify", "lipschitz", "--out", tmp_path / "l.json") == 4
 
 
 def test_numerical_failure_maps_to_exit_3(tmp_path, monkeypatch):
@@ -441,13 +487,47 @@ def test_module_entrypoint(tmp_path):
     assert out.exists() and (tmp_path / "p.meta.json").exists()
 
 
+def loaded_modules(code):
+    """Names of the modules a fresh interpreter has loaded after running code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code + "; import sys; print(sorted(sys.modules))"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def scipy_modules(loaded):
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_import_leaves_heavy_scipy_submodules_unloaded():
     # checks which modules load, not how long that takes
-    code = ("import starbody.cli; import starbody.geometry as g; g.make_grid(4, 64); "
-            "import sys; print(sorted(sys.modules))")
+    planar = loaded_modules("import starbody.cli; import starbody.geometry as g; "
+                            "g.make_grid(2, 64); g.make_grid(3, 64)")
+    assert not scipy_modules(planar)
+    # the Halton grid of d >= 4 needs scipy.special's normal quantile and nothing more
+    halton = loaded_modules("import starbody.cli; import starbody.geometry as g; g.make_grid(4, 64)")
+    assert scipy_modules(halton) <= scipy_modules(loaded_modules("import scipy.special"))
+    assert "scipy.special" in halton
+
+
+def test_commands_without_hull_or_tree_load_no_scipy(tmp_path):
+    body = tmp_path / "body.json"
+    body.write_text(ge.body_to_json(ge.EllipsoidBody(np.diag([1.5, 0.7]))))
+    commands = [
+        ["rho", "--density", "gaussian-identity-2d", "--out", "prof.csv", "--grid-n", "256"],
+        ["gibbs-sample", "--body", str(body), "--n", "2000", "--out", "draws.csv"],
+        ["fit", "--family", "ellipsoid", "--data", "draws.csv", "--out", "fit.json", "--iters", "5"],
+        ["verify", "gibbs", "--out", "gibbs.json"],
+    ]
+    code = (
+        "import os, sys; from starbody.cli import main; os.chdir(sys.argv[1])\n"
+        "for argv in " + repr(commands) + ":\n"
+        "    assert main(argv) == 0, argv\n"
+        "    print(argv[0], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(ge.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = ast.literal_eval(proc.stdout)
-    for heavy in ("scipy.stats", "scipy.spatial", "scipy.optimize"):
-        assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]
+    assert proc.stdout.splitlines() == ["rho []", "gibbs-sample []", "fit []", "verify []"]

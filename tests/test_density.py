@@ -373,6 +373,99 @@ def test_sample_set_csv_errors(tmp_path):
         dn.SampleSet.from_csv(path)
 
 
+def line_parser(path):
+    """The line-by-line reader that read_csv replaced, kept as its oracle."""
+    dim, rows = None, []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                stripped = line.lstrip("#").strip()
+                if stripped.startswith("dim="):
+                    dim = int(stripped[4:])
+                continue
+            rows.append([float(v) for v in line.split(",")])
+    return np.asarray(rows, dtype=float), dim
+
+
+def test_write_csv_bytes_equal_savetxt(tmp_path):
+    rng = np.random.default_rng(16)
+    pts = rng.choice([-1.0, 1.0], (100_000, 2)) * 10.0 ** rng.uniform(-8, 8, (100_000, 2))
+    pts[:3] = [[0.0, -0.0], [1e-300, -1e300], [0.1, 1.0 / 3.0]]
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    dn.SampleSet(2, pts).to_csv(ours)
+    np.savetxt(ref, pts, fmt="%.17g", delimiter=",", header="dim=2")
+    assert ours.read_bytes() == ref.read_bytes()
+    for grid in (GRID, sb.make_grid(3, 300), sb.make_grid(4, 256)):
+        prof = dn.RadialProfile(grid, rng.uniform(0.5, 2.0, grid.n))
+        prof.to_csv(ours)
+        lead = grid.angles() if grid.dim == 2 else np.arange(grid.n)
+        np.savetxt(ref, np.column_stack([lead, grid.nodes, prof.values]), fmt="%.17g", delimiter=",")
+        assert ours.read_bytes() == ref.read_bytes()
+    # an empty header writes no header line, and a multi-line one is commented throughout
+    dn.write_csv(ours, pts[:5, 0])
+    np.savetxt(ref, pts[:5, 0], fmt="%.17g", delimiter=",", header="")
+    assert ours.read_bytes() == ref.read_bytes()
+    dn.write_csv(ours, pts[:5], header="a\nb")
+    np.savetxt(ref, pts[:5], fmt="%.17g", delimiter=",", header="a\nb")
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_in_row_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ge, "CHUNK_ENTRIES", 64)
+    pts = np.random.default_rng(17).normal(size=(1001, 3))
+    dn.write_csv(tmp_path / "ours.csv", pts, header="dim=3")
+    np.savetxt(tmp_path / "ref.csv", pts, fmt="%.17g", delimiter=",", header="dim=3")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "# dim=2\n1.5,-2\n\n3,4\n",
+    "1,2\n   \n\t\n# a comment\n-0.0,1e-300\n# dim=2\n5e300,-1e-320\n",
+    "# dim=3\r\n1,2,3\r\n\r\n0.1,0.2,0.30000000000000004\r\n",
+    "## dim= 2 \n 1.0 , 2.0 \n",
+    "0.5\n-0.25\n",
+])
+def test_read_csv_bit_equal_to_line_parser(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    rows, dim = dn.read_csv(path)
+    ref_rows, ref_dim = line_parser(path)
+    assert dim == ref_dim
+    assert rows.shape == ref_rows.shape
+    assert np.array_equal(rows.view(np.int64), ref_rows.view(np.int64))
+
+
+def test_read_csv_bit_equal_on_random_floats(tmp_path):
+    rng = np.random.default_rng(18)
+    pts = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-300, 300, (2000, 3))
+    path = tmp_path / "in.csv"
+    dn.SampleSet(3, pts).to_csv(path)
+    back = dn.SampleSet.from_csv(path)
+    assert back.dim == 3
+    assert np.array_equal(back.points.view(np.int64), pts.view(np.int64))
+
+
+def test_csv_readers_reject_empty_files_and_bad_headers(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# dim=2\n\n")
+    with pytest.raises(ValueError, match="no sample rows"):
+        dn.SampleSet.from_csv(path)
+    with pytest.raises(ValueError, match="no profile rows"):
+        dn.RadialProfile.from_csv(path)
+    path.write_text("1.0,2.0\n# dim=two\n")
+    with pytest.raises(ValueError, match="line 2: malformed dim header"):
+        dn.SampleSet.from_csv(path)
+    path.write_text("# dim=3\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="line 2: expected 3 fields, got 2"):
+        dn.SampleSet.from_csv(path)
+    path.write_text("0,1,0,1\n1,0,1,x\n")
+    with pytest.raises(ValueError, match="line 2: non-numeric field"):
+        dn.RadialProfile.from_csv(path)
+
+
 def test_radial_profile_csv_roundtrip(tmp_path):
     prof = dn.rho_analytic(dn.GaussianDensity(np.diag([3.0, 1.0])), GRID)
     path = tmp_path / "p.csv"
