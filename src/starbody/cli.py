@@ -644,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--p", type=int, default=None)
     p_fit.add_argument("--L", type=int, default=None)
     p_fit.add_argument("--iters", type=int, default=60)
-    p_fit.add_argument("--step", type=float, default=0.5)
+    p_fit.add_argument(
+        "--step", type=float, default=0.5, help="first trial step (dictionary family only)"
+    )
     p_fit.add_argument("--floor", type=float, default=1e-3)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run a self-check suite")

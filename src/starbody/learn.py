@@ -1,15 +1,17 @@
 """Empirical risk minimization over parametric star-body families.
 
-Fitters for ellipsoids (projected gradient on the inverse-square matrix),
+Fitters for ellipsoids (majorize-minimize on the inverse-square matrix),
 dictionary polytopes (alternating facet-based sparse coding and dictionary
-descent), and unions of ellipsoids (min-gauge EM), plus the validation
-experiments: convergence to the population optimum, a uniform
-law-of-large-numbers probe, noise robustness against the smoothing bound,
-and train/held-out generalization gaps.
+descent), and unions of ellipsoids (min-gauge EM with one majorize-minimize
+step per part and round), plus the validation experiments: convergence to
+the population optimum, a uniform law-of-large-numbers probe, noise
+robustness against the smoothing bound, and train/held-out generalization
+gaps.
 
-Every fitter records a non-increasing risk trace (backtracking rejects any
-step that does not descend) and keeps the fitted body's minimal radius at or
-above the configured inner width floor.
+Every fitter records a non-increasing risk trace and keeps the fitted body's
+minimal radius at or above the configured inner width floor.  The
+ellipsoid-family steps descend by construction; the dictionary step
+backtracks until it descends.
 """
 
 from __future__ import annotations
@@ -53,9 +55,11 @@ class FitConfig:
 
     inner_width_floor is the well-conditioning radius r: every fitted body
     keeps min_u rho(u) >= r.  p (dictionary columns) and L (union parts)
-    only apply to their families.  volume_normalization controls whether
-    ellipsoid-family results are returned at unit volume; the dictionary
-    class is pinned to unit columns instead and ignores it.
+    only apply to their families, and step_size is the dictionary
+    descent's first trial step (the ellipsoid-family updates take none).
+    volume_normalization controls whether ellipsoid-family results are
+    returned at unit volume; the dictionary class is pinned to unit columns
+    instead and ignores it.
     """
 
     family: str = "ellipsoid"
@@ -137,21 +141,37 @@ def _clean_points(samples: SampleSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _det_normalize(mat: np.ndarray) -> np.ndarray:
-    sign, logdet = np.linalg.slogdet(mat)
-    if sign <= 0:
-        raise ValueError("matrix must be positive definite")
-    return mat * math.exp(-logdet / mat.shape[0])
+def _water_fill(S: np.ndarray, eig_cap: float):
+    """argmin tr(M S) over det M = 1 with every eigenvalue of M <= eig_cap.
+
+    M shares S's eigenvectors, with lambda_i = min(eig_cap, c / s_i) and c
+    fixed by sum log lambda_i = 0; an eigenvalue s_i <= 0 (a rank-deficient
+    S) is always capped.  Returns M and whether the cap is active.
+    """
+    d = S.shape[0]
+    log_cap = math.log(eig_cap)
+    if log_cap < 0:
+        raise ValueError("inner width floor is incompatible with the body volume")
+    s, vecs = np.linalg.eigh(S)
+    # cap the k smallest s_i; the first k whose free part stays under the
+    # cap is the solution, because c grows with k
+    for k in range(min(int(np.sum(s <= 0)), d - 1), d):
+        log_c = (np.log(s[k:]).sum() - k * log_cap) / (d - k)
+        if log_c - math.log(s[k]) <= log_cap:
+            break
+    lam = np.full(d, eig_cap)
+    lam[k:] = np.exp(log_c - np.log(s[k:]))
+    return (vecs * lam) @ vecs.T, k > 0
 
 
-def _project_m(mat: np.ndarray, eig_cap: float):
-    """Symmetrize, cap eigenvalues (gauge floor), renormalize det to 1."""
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    clipped = np.clip(vals, 1e-14, eig_cap)
-    capped = bool(np.any(vals > eig_cap * (1 + 1e-12)))
-    mat = (vecs * clipped) @ vecs.T
-    return _det_normalize(mat), capped
+def _mm_moment(X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """E[x x^T / g(x)] up to scale: S of the bound tr(M S) on the mean gauge at g."""
+    return (X / g[:, None]).T @ X
+
+
+def _quad_gauges(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sqrt(x^T M x) for every row of X."""
+    return np.sqrt(np.einsum("ij,ij->i", X @ M, X))
 
 
 def _ellipsoid_from_m(mat: np.ndarray) -> np.ndarray:
@@ -159,35 +179,21 @@ def _ellipsoid_from_m(mat: np.ndarray) -> np.ndarray:
     return (vecs * vals**-0.5) @ vecs.T
 
 
-def _floor_axes(axes: np.ndarray, floor: float, det_target: float) -> np.ndarray:
-    """Raise semi-axes to the floor, rescaling the rest to keep the volume."""
-    if floor**len(axes) > det_target * (1 + 1e-9):
-        raise ValueError("inner width floor is incompatible with the body volume")
-    axes = axes.copy()
-    for _ in range(len(axes) + 1):
-        low = axes < floor
-        if not low.any():
-            break
-        axes[low] = floor
-        free = ~low
-        if not free.any():
-            break
-        ratio = det_target / np.prod(axes[low])
-        axes[free] *= (ratio / np.prod(axes[free])) ** (1.0 / free.sum())
-    return axes
-
-
 def fit_ellipsoid(
     samples: SampleSet, cfg: FitConfig, init: EllipsoidBody | None = None
 ) -> RiskReport:
     """Minimize mean ||A^{-1} x||_2 over symmetric A with det A = 1.
 
-    Projected gradient on M = A^{-2}: gradient step, eigenvalue cap
-    enforcing the inner width floor, determinant renormalization, and a
-    backtracking line search that only accepts descent.  The default
-    initialization inverts the sample second-moment matrix; pass `init` to
-    warm-start.  With volume_normalization the returned ellipsoid is scaled
-    to unit volume and the risk trace is reported in that same scale.
+    Majorize-minimize on M = A^{-2}: sqrt(q) <= q / (2 sqrt(q_t)) +
+    sqrt(q_t) / 2 bounds the risk by tr(M S_t) with S_t = E[x x^T /
+    ||x||_{M_t}], and M_{t+1} = _water_fill(S_t) minimizes that bound under
+    det M = 1 and the eigenvalue cap that enforces the inner width floor, so
+    every step descends with no step size (a Tyler-type scatter
+    M-estimator).  It stops when the risk falls by at most 1e-12 of the
+    first risk.  The default start water-fills the sample second moment;
+    pass `init` to warm-start.  With volume_normalization the returned
+    ellipsoid is scaled to unit volume and the risk trace is reported in
+    that same scale.
     """
     X = _clean_points(samples)
     m, d = samples.m, samples.dim
@@ -196,65 +202,35 @@ def fit_ellipsoid(
     if X.shape[0] < d or np.linalg.matrix_rank(X) < d:
         raise ValueError("rank-deficient sample matrix")
 
-    kd = unit_ball_volume(d)
-    scale_out = kd ** (1.0 / d) if cfg.volume_normalization else 1.0
+    scale_out = unit_ball_volume(d) ** (1.0 / d) if cfg.volume_normalization else 1.0
     # the floor applies to the returned body; translate it to det A = 1 scale
-    floor_det1 = cfg.inner_width_floor * scale_out
-    eig_cap = 1.0 / floor_det1**2
-
-    events = []
-
-    def risk(mat: np.ndarray) -> float:
-        q = np.einsum("ij,jk,ik->i", X, mat, X)
-        return float(np.sum(np.sqrt(q)) / m)
+    eig_cap = 1.0 / (cfg.inner_width_floor * scale_out) ** 2
 
     if init is not None:
         if not isinstance(init, EllipsoidBody):
             raise TypeError("init must be an EllipsoidBody")
-        inv = np.linalg.inv(init.matrix)
-        M = inv @ inv
+        M, capped = _water_fill(init.matrix @ init.matrix, eig_cap)
     else:
-        M = np.linalg.inv(X.T @ X / X.shape[0])
-    M, capped = _project_m(M, eig_cap)
-    if capped:
-        events.append("eigenvalue floor hit at initialization")
+        M, capped = _water_fill(X.T @ X, eig_cap)
+    events = ["eigenvalue floor hit at initialization"] if capped else []
 
-    trace = [risk(M)]
-    step = cfg.step_size
+    g = _quad_gauges(X, M)
+    trace = [float(g.sum() / m)]
     for _ in range(cfg.max_iters):
-        q = np.sqrt(np.einsum("ij,jk,ik->i", X, M, X))
-        grad = (X / (2.0 * q)[:, None]).T @ X / m
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-15:
+        cand, cand_capped = _water_fill(_mm_moment(X, g), eig_cap)
+        cand_g = _quad_gauges(X, cand)
+        val = float(cand_g.sum() / m)
+        if not val < trace[-1]:
             break
-        direction = grad * (np.linalg.norm(M) / gnorm)
-        eta, accepted = step, False
-        for _ in range(30):
-            cand, capped = _project_m(M - eta * direction, eig_cap)
-            val = risk(cand)
-            if val < trace[-1] - 1e-14:
-                M, accepted = cand, True
-                if capped:
-                    events.append("eigenvalue floor hit during descent")
-                trace.append(val)
-                break
-            eta *= 0.5
-        if not accepted:
+        M, g, capped = cand, cand_g, cand_capped
+        trace.append(val)
+        if trace[-2] - val <= 1e-12 * trace[0]:
             break
-        if len(trace) > 2 and trace[-2] - trace[-1] < 1e-12 * max(trace[0], 1e-12):
-            break
+    if capped:
+        events.append("eigenvalue floor active on the fitted body")
 
-    A = _ellipsoid_from_m(M) / scale_out
-    det_target = np.prod(np.linalg.eigvalsh(A))
-    axes = np.linalg.eigvalsh(A)
-    if axes.min() < cfg.inner_width_floor - 1e-12:
-        vals, vecs = np.linalg.eigh(A)
-        vals = _floor_axes(vals, cfg.inner_width_floor, det_target)
-        A = (vecs * vals) @ vecs.T
-        events.append("inner width floor enforced on the final body")
-    body = EllipsoidBody(A)
-    scale_trace = scale_out if cfg.volume_normalization else 1.0
-    trace = [t * scale_trace for t in trace]
+    body = EllipsoidBody(_ellipsoid_from_m(M) / scale_out)
+    trace = [t * scale_out for t in trace]
     return RiskReport(
         body=body,
         risk_trace=tuple(trace),
@@ -407,11 +383,16 @@ def fit_union_ellipsoids(
     """EM on the min-gauge objective over L-part ellipsoid unions.
 
     Samples are assigned to their minimal-gauge part (ties to the lowest
-    index), each part is refitted on its cluster warm-started from its
-    current matrix, and the union objective (mean of min gauges, parts at
-    det 1) is recorded after every round; the final union is volume
-    normalized by quadrature when requested.  L = 1 delegates exactly to
-    fit_ellipsoid.  Emptied clusters reseed from the worst-fit samples.
+    index), and each round gives every part one majorize-minimize step of
+    fit_ellipsoid on its cluster, which cannot raise the union objective
+    (mean of min gauges, parts at det 1).  The objective is recorded after
+    every round; a round that a reseed makes worse by more than 1e-12 ends
+    the fit, which otherwise stops like fit_ellipsoid.  The final union is
+    volume normalized by quadrature when requested.
+    Each part's eigenvalue cap keeps its semi-axes at or above the inner
+    width floor after that normalization, whose scale is at least
+    (L kappa_d)^(-1/d).  L = 1 delegates exactly to fit_ellipsoid.  Emptied
+    clusters reseed from the worst-fit samples.
     """
     L = cfg.L if cfg.L is not None else 2
     if L == 1:
@@ -424,35 +405,23 @@ def fit_union_ellipsoids(
         grid = make_grid(d)
     rng = np.random.default_rng(cfg.seed)
     events = []
-    inner_cfg = replace(
-        cfg, family="ellipsoid", volume_normalization=False, L=None, max_iters=max(cfg.max_iters, 10)
-    )
+    # a union of L det-1 parts has volume at most L kappa_d
+    max_scale = (L * unit_ball_volume(d)) ** (1.0 / d) if cfg.volume_normalization else 1.0
+    eig_cap = 1.0 / (cfg.inner_width_floor * max_scale) ** 2
+
+    def part(pts: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+        moment = pts.T @ pts if g is None else _mm_moment(pts, g)
+        return _water_fill(moment, eig_cap)[0]
 
     seeds = _directional_seeds(X, L, rng)
     assign = np.abs(X / np.linalg.norm(X, axis=1)[:, None] @ seeds.T).argmax(axis=1)
-
-    def second_moment_part(pts: np.ndarray) -> np.ndarray:
-        S = pts.T @ pts / len(pts) + 1e-12 * np.eye(d)
-        return _ellipsoid_from_m(_det_normalize(np.linalg.inv(S)))
-
-    def refit(pts: np.ndarray, current: np.ndarray | None) -> np.ndarray:
-        init = EllipsoidBody(current) if current is not None else None
-        try:
-            report = fit_ellipsoid(SampleSet(d, pts), inner_cfg, init=init)
-        except ValueError:
-            return current if current is not None else np.eye(d)
-        return report.body.matrix
-
     parts = []
     for ell in range(L):
         pts = X[assign == ell]
-        parts.append(second_moment_part(pts) if len(pts) > d else np.eye(d))
+        parts.append(part(pts) if len(pts) > d else np.eye(d))
 
     def gauges(mats) -> np.ndarray:
-        g = np.empty((len(mats), len(X)))
-        for j, A in enumerate(mats):
-            g[j] = np.linalg.norm(X @ np.linalg.inv(A).T, axis=1)
-        return g
+        return np.array([_quad_gauges(X, M) for M in mats])
 
     G = gauges(parts)
     trace = [float(G.min(axis=0).mean())]
@@ -461,29 +430,28 @@ def fit_union_ellipsoids(
     for _ in range(cfg.max_iters):
         new_parts = list(parts)
         for ell in range(L):
-            pts = X[assign == ell]
-            if len(pts) < d + 1:
+            mine = assign == ell
+            if mine.sum() < d + 1:
                 worst = np.argsort(G.min(axis=0))[-(d + 1) :]
-                new_parts[ell] = second_moment_part(X[worst])
+                new_parts[ell] = part(X[worst])
                 events.append(f"reseeded empty part {ell} from worst-fit samples")
                 continue
-            new_parts[ell] = refit(pts, parts[ell])
+            new_parts[ell] = part(X[mine], G[ell, mine])
         G_new = gauges(new_parts)
         val = float(G_new.min(axis=0).mean())
         if val > trace[-1] + 1e-12:
             break  # a reseed made things worse; keep the previous state
         parts, G = new_parts, G_new
         trace.append(val)
-        new_assign = G.argmin(axis=0)
-        if np.array_equal(new_assign, assign):
+        if trace[-2] - val <= 1e-12 * trace[0]:
             break
-        assign = new_assign
+        assign = G.argmin(axis=0)
 
+    ellipsoids = [EllipsoidBody(_ellipsoid_from_m(M)) for M in parts]
     scale = 1.0
     if cfg.volume_normalization:
-        union = UnionBody([EllipsoidBody(A) for A in parts])
-        scale = volume(union, grid) ** (-1.0 / d)
-    body = UnionBody([EllipsoidBody(A * scale) for A in parts])
+        scale = volume(UnionBody(ellipsoids), grid) ** (-1.0 / d)
+    body = UnionBody([EllipsoidBody(E.matrix * scale) for E in ellipsoids])
     trace = [t / scale for t in trace]
 
     # Single ellipsoids are members of the union class; if specialization

@@ -74,10 +74,33 @@ def test_fit_ellipsoid_floor_clamp():
     cfg = ln.FitConfig(inner_width_floor=0.3)
     report = ln.fit_ellipsoid(gaussian_samples(cov, 20_000, 4), cfg)
     axes = np.linalg.eigvalsh(report.body.matrix)
-    assert axes.min() >= 0.3 - 1e-9
+    # the eigenvalue cap is the floor itself, not a repair after the fit
+    assert axes.min() == pytest.approx(0.3, rel=1e-12)
+    assert np.all(np.diff(report.risk_trace) <= 0)
     assert np.pi * np.linalg.det(report.body.matrix) == pytest.approx(1.0, rel=1e-9)
     assert any("floor" in e for e in report.events)
     assert radial_on_grid(report.body, GRID).min() >= 0.3 - 1e-9
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_fit_ellipsoid_first_order_certificate(d):
+    # Non-Gaussian radii: the second-moment start is not the optimum.  At a
+    # stationary M of E||x||_M over det M = 1, M^(1/2) S M^(1/2) is a multiple
+    # of I, where S = E[x x^T / ||x||_M].
+    for seed in range(5):
+        rng = np.random.default_rng([d, seed])
+        X = rng.normal(size=(5000, d)) @ rng.normal(size=(d, d))
+        X *= 1.0 + rng.exponential(size=(5000, 1))
+        cfg = ln.FitConfig(volume_normalization=False)
+        A = ln.fit_ellipsoid(dn.SampleSet(d, X), cfg).body.matrix
+        M = np.linalg.inv(A @ A)
+        M /= np.linalg.det(M) ** (1.0 / d)
+        S = (X / np.sqrt(np.einsum("ij,jk,ik->i", X, M, X))[:, None]).T @ X / len(X)
+        vals, vecs = np.linalg.eigh(M)
+        root = (vecs * np.sqrt(vals)) @ vecs.T
+        T = root @ S @ root
+        tr = np.trace(T)
+        assert np.linalg.norm(T - (tr / d) * np.eye(d)) / tr <= 1e-6
 
 
 def test_fit_ellipsoid_floor_infeasible():
@@ -228,8 +251,11 @@ def test_directional_seeds_repeated_directions():
     samples = dn.SampleSet(2, np.vstack([X, 2.0 * X]))
     for seed in range(4):
         cfg = ln.FitConfig(family="union_ellipsoids", L=2, max_iters=3, seed=seed)
-        trace = np.array(ln.fit_union_ellipsoids(samples, cfg, grid=GRID).risk_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
+        report = ln.fit_union_ellipsoids(samples, cfg, grid=GRID)
+        assert np.all(np.diff(report.risk_trace) <= 1e-12)
+        # the cluster along v is rank one; the eigenvalue cap keeps it a body
+        for part in report.body.parts:
+            assert np.linalg.eigvalsh(part.matrix).min() >= cfg.inner_width_floor
 
 
 def test_fit_union_needs_samples():
