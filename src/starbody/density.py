@@ -397,7 +397,6 @@ class GaugeInducedDensity(DensitySpec):
         body: StarBody,
         profile: str = "exp",
         grid: SphericalGrid | None = None,
-        validate: bool = True,
     ) -> None:
         if profile not in _PROFILE_NAMES:
             raise ValueError(f"profile must be one of {_PROFILE_NAMES}")
@@ -408,8 +407,7 @@ class GaugeInducedDensity(DensitySpec):
         self.body_volume = volume(body, self.grid)
         d = self.dim
         self.normalization = self.body_volume * d * _profile_moment(profile, d)
-        if validate:
-            self._validate_mass(MASS_CHECK_N)
+        self._validate_mass(MASS_CHECK_N)
 
     def _validate_mass(self, n: int) -> None:
         rng = np.random.default_rng(20_240_817)
@@ -646,32 +644,38 @@ def expected_gauge(
     body: StarBody,
     data,
     alpha: float = 1.0,
-    mc_samples: int = 20_000,
-    seed=0,
-    return_stderr: bool = False,
-):
+    grid: SphericalGrid | None = None,
+) -> float:
     """Mean gauge power E[||x||_K^alpha] under a sample set or density.
 
-    Sample sets give the exact empirical mean.  Density specs are estimated
-    by Monte Carlo with `mc_samples` draws; with return_stderr=True the
-    (mean, standard error) pair is returned.
+    Sample sets give the exact empirical mean; `grid` is then unused.  A
+    density spec P gives the population risk from its radial statistic,
+
+        E_P ||x||_K^alpha = d * V~_{-alpha}(K, L_P)
+                          = sum_j w_j rho_K(u_j)^(-alpha) rho_P(u_j)^(d+alpha),
+
+    with rho_P from rho_analytic on `grid` (default make_grid(d)).  The value
+    is deterministic and as accurate as the grid's quadrature: in d = 2, 3
+    well below a 20,000-draw Monte Carlo error, but in d >= 4 the default
+    Halton grid is off by 4e-3 to 7e-3 relative for a random Gaussian and
+    ellipsoid at 1024 nodes (1e-3 or less at 4096), like log_normalizer on
+    the same grid.  Specs that rho_analytic rejects, such as a Gaussian with a
+    nonzero mean, raise its ValueError.
     """
     alpha = _validate_alpha(alpha)
     if isinstance(data, SampleSet):
         if data.dim != body.dim:
             raise ValueError("samples and body dimension mismatch")
-        g = body.gauge_many(data.points) ** alpha
-    elif isinstance(data, DensitySpec):
+        return float(np.mean(body.gauge_many(data.points) ** alpha))
+    if isinstance(data, DensitySpec):
         if data.dim != body.dim:
             raise ValueError("density and body dimension mismatch")
-        pts = data.sample(mc_samples, _as_rng(seed))
-        g = body.gauge_many(pts) ** alpha
-    else:
-        raise TypeError("data must be a SampleSet or a DensitySpec")
-    mean = float(np.mean(g))
-    if return_stderr:
-        return mean, float(np.std(g) / math.sqrt(len(g)))
-    return mean
+        if grid is None:
+            grid = make_grid(body.dim)
+        rho_p = rho_analytic(data, grid, alpha).values
+        rho_k = radial_on_grid(body, grid)
+        return float(np.dot(grid.weights, rho_k**-alpha * rho_p ** (body.dim + alpha)))
+    raise TypeError("data must be a SampleSet or a DensitySpec")
 
 
 def sample_density(spec: DensitySpec, n: int, seed=0) -> SampleSet:

@@ -60,39 +60,35 @@ def mc_normalizer_estimate(body: StarBody, grid: SphericalGrid, n: int = 200_000
     return float(w.mean()), float(w.std() / math.sqrt(n))
 
 
-def nll(
-    body: StarBody,
-    data,
-    grid: SphericalGrid,
-    alpha: float = 1.0,
-    mc_samples: int = 20_000,
-    seed=0,
-) -> float:
-    """Cross-entropy of data against p_K: E[||x||_K^alpha] + log Z."""
-    mean = expected_gauge(body, data, alpha=alpha, mc_samples=mc_samples, seed=seed)
-    return mean + log_normalizer(body, grid, alpha)
+def nll(body: StarBody, data, grid: SphericalGrid, alpha: float = 1.0) -> float:
+    """Cross-entropy of data against p_K: E[||x||_K^alpha] + log Z.
+
+    Both terms use `grid`: log Z through the volume quadrature and, on a
+    density spec, the expected gauge through expected_gauge's radial-statistic
+    identity, so the value is deterministic.
+    """
+    return expected_gauge(body, data, alpha=alpha, grid=grid) + log_normalizer(body, grid, alpha)
 
 
-def optimal_dilate(body: StarBody, data, mc_samples: int = 20_000, seed=0) -> float:
+def optimal_dilate(body: StarBody, data) -> float:
     """The dilate factor minimizing nll over {lambda K}: mean gauge / d."""
-    mean = expected_gauge(body, data, mc_samples=mc_samples, seed=seed)
+    mean = expected_gauge(body, data)
     if mean <= 0.0:
         raise ValueError("mean gauge is zero; no positive dilate exists")
     return mean / body.dim
 
 
-def m_projection(bodies, data, grid: SphericalGrid, alpha: float = 1.0, mc_samples: int = 20_000, seed=0):
+def m_projection(bodies, data, grid: SphericalGrid, alpha: float = 1.0):
     """Index of the nll-minimizing body in a finite family, plus all values.
 
-    On a family of unit-volume bodies log Z is constant, so the winner is
-    exactly the body with the smallest expected gauge.
+    Every nll uses `grid` for both log Z and the risk.  On a family of
+    unit-volume bodies log Z is constant, so the winner is exactly the body
+    with the smallest expected gauge.
     """
     bodies = list(bodies)
     if not bodies:
         raise ValueError("empty family")
-    values = np.array(
-        [nll(b, data, grid, alpha=alpha, mc_samples=mc_samples, seed=seed) for b in bodies]
-    )
+    values = np.array([nll(b, data, grid, alpha=alpha) for b in bodies])
     return int(np.argmin(values)), values
 
 
@@ -182,9 +178,8 @@ class GibbsDensity:
     def pdf(self, points) -> np.ndarray:
         return np.exp(self.log_pdf(points))
 
-    def nll(self, data, mc_samples: int = 20_000, seed=0) -> float:
-        mean = expected_gauge(self.body, data, alpha=self.alpha, mc_samples=mc_samples, seed=seed)
-        return mean + self.log_Z
+    def nll(self, data) -> float:
+        return expected_gauge(self.body, data, alpha=self.alpha, grid=self.grid) + self.log_Z
 
     def sample(self, n: int, seed=0) -> SampleSet:
         if self.alpha != 1.0:

@@ -37,7 +37,6 @@ from starbody.geometry import (
     StarBody,
     UnionBody,
     body_to_dict,
-    dual_mixed_volume,
     make_grid,
     radial_distance,
     radial_on_grid,
@@ -100,30 +99,21 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Outcome of one fit: body, monotone risk trace, optional risk splits."""
+    """Outcome of one fit: body, monotone risk trace, optional population risk."""
 
     body: StarBody
     risk_trace: tuple
     final_risk: float
     config: FitConfig
-    held_out_risk: float | None = None
     population_risk: float | None = None
     events: tuple = ()
-
-    @property
-    def gap(self) -> float | None:
-        if self.held_out_risk is None:
-            return None
-        return abs(self.final_risk - self.held_out_risk)
 
     def to_dict(self) -> dict:
         return {
             "body": body_to_dict(self.body),
             "risk_trace": list(self.risk_trace),
             "final_risk": self.final_risk,
-            "held_out_risk": self.held_out_risk,
             "population_risk": self.population_risk,
-            "gap": self.gap,
             "events": list(self.events),
             "config": self.config.to_dict(),
         }
@@ -521,8 +511,9 @@ def convergence_experiment(
     """Fit on fresh samples for each m; record distance to the optimum.
 
     The population optimum defaults to the analytic pipeline's k_star for
-    the spec.  Each arm draws from its own child seed, so the series is
-    reproducible bit for bit regardless of schedule order.
+    the spec; each report's population_risk is expected_gauge of its body
+    under the spec on `grid`.  Each arm draws from its own child seed, so
+    the series is reproducible bit for bit regardless of schedule order.
     """
     cfg = family if isinstance(family, FitConfig) else FitConfig(family=family, seed=seed)
     m_schedule = [int(m) for m in m_schedule]
@@ -530,14 +521,12 @@ def convergence_experiment(
         grid = make_grid(spec.dim)
     if population is None:
         population = optimal_body(rho_analytic(spec, grid)).k_star
-    l_p = rho_analytic(spec, grid).body()
     children = np.random.SeedSequence(seed).spawn(len(m_schedule))
     reports, distances = [], []
     for m, child in zip(m_schedule, children):
         samples = sample_density(spec, int(m), seed=np.random.default_rng(child))
         report = fit(samples, cfg)
-        pop_risk = spec.dim * dual_mixed_volume(report.body, l_p, -1.0, grid)
-        report = replace(report, population_risk=pop_risk)
+        report = replace(report, population_risk=expected_gauge(report.body, spec, grid=grid))
         reports.append(report)
         distances.append(radial_distance(report.body, population, grid))
     return ConvergenceReport(
@@ -558,16 +547,15 @@ def lln_probe(
 ):
     """sup over a finite body family of |F(K;P_m) - F(K;P)| for each m.
 
-    The population risk comes from the dual-mixed-volume identity against
-    the spec's analytic radial statistic, so only the empirical side is
-    random.  Returns the per-m sup deviations.
+    The population risk is expected_gauge(K, spec, grid=grid), the
+    radial-statistic identity d * V~_{-1}(K, L_P) on `grid`, so only the
+    empirical side is random.  Returns the per-m sup deviations.
     """
     bodies = list(bodies)
     m_schedule = [int(m) for m in m_schedule]
     if grid is None:
         grid = make_grid(spec.dim)
-    l_p = rho_analytic(spec, grid).body()
-    pop = np.array([spec.dim * dual_mixed_volume(K, l_p, -1.0, grid) for K in bodies])
+    pop = np.array([expected_gauge(K, spec, grid=grid) for K in bodies])
     children = np.random.SeedSequence(seed).spawn(len(m_schedule))
     sups = []
     for m, child in zip(m_schedule, children):

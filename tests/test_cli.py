@@ -511,6 +511,16 @@ def test_import_leaves_heavy_scipy_submodules_unloaded():
     assert "scipy.special" in halton
 
 
+def test_expected_gauge_on_a_spec_loads_no_scipy():
+    # the identity needs only the spec's radial values, not a d = 3 grid body
+    loaded = loaded_modules(
+        "import numpy as np; from starbody import density as dn, geometry as g; "
+        "dn.expected_gauge(g.EllipsoidBody(np.diag([1.5, 1.0, 0.7])), "
+        "dn.GaussianDensity(np.diag([2.0, 1.0, 0.5])))"
+    )
+    assert not scipy_modules(loaded)
+
+
 def test_commands_without_hull_or_tree_load_no_scipy(tmp_path):
     body = tmp_path / "body.json"
     body.write_text(ge.body_to_json(ge.EllipsoidBody(np.diag([1.5, 0.7]))))

@@ -230,9 +230,9 @@ def test_rho_empirical_rejects_bad_bandwidth_and_empty():
 
 
 def test_expected_gauge_uniform_disk():
+    # E ||x|| = 2/3 under the uniform disk, exactly by the radial-statistic identity
     spec = dn.UniformOverBody(BALL, GRID)
-    val, se = dn.expected_gauge(BALL, spec, mc_samples=100_000, seed=1, return_stderr=True)
-    assert abs(val - 2 / 3) < 4 * se + 1e-4
+    assert dn.expected_gauge(BALL, spec, grid=GRID) == pytest.approx(2 / 3, rel=0, abs=1e-12)
 
 
 def test_expected_gauge_sample_set_exact():
@@ -241,13 +241,27 @@ def test_expected_gauge_sample_set_exact():
 
 
 def test_expected_gauge_matches_dual_mixed_volume():
-    # E ||x||_K = d * V~_{-1}(K, L_P) for any body K and source P
-    spec = dn.GaussianDensity(np.diag([2.0, 1.0]))
-    prof = dn.rho_analytic(spec, GRID)
-    body = sb.EllipsoidBody(np.array([[1.2, 0.3], [0.3, 0.9]]))
-    geometric = 2 * sb.dual_mixed_volume(body, prof.body(), -1.0, GRID)
-    mc, se = dn.expected_gauge(body, spec, mc_samples=200_000, seed=2, return_stderr=True)
-    assert abs(mc - geometric) < 5 * se + 1e-3
+    # E ||x||_K = d * V~_{-1}(K, L_P): a seeded Monte Carlo run is the oracle
+    # at 5 sigma.  d = 4 waits for a quadrature that integrates anisotropic
+    # integrands to better than the oracle's standard error.
+    rng = np.random.default_rng(2)
+    cases = [
+        (np.diag([2.0, 1.0]), np.array([[1.2, 0.3], [0.3, 0.9]])),
+        (np.diag([2.0, 1.0, 0.5]), np.array([[1.1, 0.2, 0.0], [0.2, 0.8, 0.3], [0.0, 0.3, 1.4]])),
+    ]
+    for cov, mat in cases:
+        spec = dn.GaussianDensity(cov)
+        body = sb.EllipsoidBody(mat)
+        g = body.gauge_many(spec.sample(200_000, rng))
+        identity = dn.expected_gauge(body, spec)
+        assert abs(identity - g.mean()) < 5 * g.std() / math.sqrt(g.size)
+        assert dn.expected_gauge(body, spec) == identity
+
+
+def test_expected_gauge_rejects_uncentered_gaussian():
+    spec = dn.GaussianDensity(np.eye(2), mean=[0.5, 0.0])
+    with pytest.raises(ValueError, match="centered"):
+        dn.expected_gauge(BALL, spec)
 
 
 def test_expected_gauge_alpha_powers():
@@ -291,7 +305,7 @@ def test_sample_density_deterministic():
 def test_sample_gauge_induced_profiles():
     body = sb.EllipsoidBody(np.diag([1.5, 0.75]))
     for profile in ("exp", "gauss", "indicator"):
-        spec = dn.GaugeInducedDensity(body, profile, GRID, validate=False)
+        spec = dn.GaugeInducedDensity(body, profile, GRID)
         s = dn.sample_density(spec, 30_000, seed=11)
         g = body.gauge_many(s.points)
         if profile == "exp":
@@ -305,12 +319,11 @@ def test_sample_gauge_induced_profiles():
 
 def test_gauge_induced_mass_validation():
     body = sb.EllipsoidBody(np.diag([2.0, 0.5]))
-    spec = dn.GaugeInducedDensity(body, "exp", GRID, validate=True)
+    spec = dn.GaugeInducedDensity(body, "exp", GRID)
     assert spec.normalization == pytest.approx(sb.volume(body, GRID) * 2.0, rel=1e-9)
-    broken = dn.GaugeInducedDensity(body, "exp", GRID, validate=False)
-    broken.normalization *= 1.2
+    spec.normalization *= 1.2
     with pytest.raises(sb.NumericalFailure, match="mass"):
-        broken._validate_mass(20_000)
+        spec._validate_mass(20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +494,7 @@ def test_density_spec_serialization_roundtrip():
     pts = np.random.default_rng(15).normal(size=(30, 2))
     assert np.allclose(back.pdf(pts), mix.pdf(pts), rtol=1e-12)
 
-    gi = dn.GaugeInducedDensity(BALL, "gauss", GRID, validate=False)
+    gi = dn.GaugeInducedDensity(BALL, "gauss", GRID)
     back = dn.density_from_dict(dn.density_to_dict(gi))
     assert isinstance(back, dn.GaugeInducedDensity)
     assert back.profile == "gauss"

@@ -101,6 +101,25 @@ def test_optimal_dilate_rejects_degenerate_data():
         gb.optimal_dilate(body, dn.SampleSet(2, np.zeros((5, 2))))
 
 
+def test_optimal_dilate_uniform_disk():
+    # E ||x||_B = 2/3 under the uniform disk, so the optimal dilate is 1/3
+    ball = sb.EllipsoidBody(np.eye(2))
+    spec = dn.UniformOverBody(ball, GRID)
+    assert gb.optimal_dilate(ball, spec) == pytest.approx(1 / 3, rel=0, abs=1e-12)
+
+
+def test_nll_on_a_spec_is_the_identity_plus_log_normalizer():
+    spec = dn.GaussianDensity(np.array([[2.0, 0.4], [0.4, 1.0]]))
+    body = random_body(42)
+    rho_p = dn.rho_analytic(spec, GRID).values
+    identity = float(np.dot(GRID.weights, radial_on_grid(body, GRID) ** -1.0 * rho_p**3.0))
+    expected = identity + gb.log_normalizer(body, GRID)
+    assert gb.nll(body, spec, GRID) == expected
+    assert gb.GibbsDensity(body, grid=GRID).nll(spec) == expected
+    _, values = gb.m_projection([body, body], spec, GRID)
+    assert values.tolist() == [expected, expected]
+
+
 def test_m_projection_selects_generator():
     target = sb.volume_normalize(random_body(8), GRID)
     family = [

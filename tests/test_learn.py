@@ -277,7 +277,12 @@ def test_convergence_experiment_distances_shrink():
     assert report.distances[-1] < 0.05
     again = ln.convergence_experiment(spec, "ellipsoid", [100, 1000, 10_000], seed=15, grid=GRID)
     assert report.distances == again.distances
-    assert all(r.population_risk is not None for r in report.reports)
+    # the population risk is the identity d * V~_{-1}(K, L_P); the hand-written
+    # form differs only by the rounding of (d * x) / d, within 1 ulp (measured)
+    l_p = dn.rho_analytic(spec, GRID).body()
+    for r in report.reports:
+        old = 2 * sb.dual_mixed_volume(r.body, l_p, -1.0, GRID)
+        assert r.population_risk == pytest.approx(old, rel=4 * np.finfo(float).eps, abs=0)
 
 
 def test_lln_probe_decreases():
@@ -288,6 +293,12 @@ def test_lln_probe_decreases():
     ]
     out = ln.lln_probe(spec, bodies, [200, 50_000], seed=16, grid=GRID)
     assert out["sup_deviations"][1] < out["sup_deviations"][0]
+    l_p = dn.rho_analytic(spec, GRID).body()
+    pop = np.array([2 * sb.dual_mixed_volume(K, l_p, -1.0, GRID) for K in bodies])
+    for m, child, sup in zip([200, 50_000], np.random.SeedSequence(16).spawn(2), out["sup_deviations"]):
+        pts = dn.sample_density(spec, m, seed=np.random.default_rng(child)).points
+        old = max(abs(K.gauge_many(pts).mean() - p) for K, p in zip(bodies, pop))
+        assert sup == pytest.approx(old, rel=0, abs=4 * np.finfo(float).eps * pop.max())
 
 
 def test_noise_robustness_bound():

@@ -99,7 +99,7 @@ def test_optimum_is_unique_up_to_perturbations():
 
 def test_alpha_invariance_for_gauge_induced_sources():
     body = sb.EllipsoidBody(np.array([[1.8, 0.4], [0.4, 0.9]]))
-    spec = dn.GaugeInducedDensity(body, "exp", GRID, validate=False)
+    spec = dn.GaugeInducedDensity(body, "exp", GRID)
     stars = []
     for alpha in (1.0, 2.0, 4.0):
         res = opt.optimal_body(dn.rho_analytic(spec, GRID, alpha=alpha))
