@@ -23,10 +23,16 @@ NODE_NORM_TOL = 1e-12
 UNIT_INPUT_TOL = 1e-9
 # Dictionary polytopes: bodies whose facet count could exceed this (upper
 # bound theorem on their 2p vertices) use the per-point coding LP instead of
-# a Qhull facet description.  Real hulls have far fewer facets than the
-# bound: d = 8, p = 20 (bound 65450) has ~10^4 and builds in ~0.1 s on a
-# 2-core x86 VM, about 50 coding LPs' worth.
+# a facet description.  Only d >= 3 can reach it (Qhull's facets); a planar
+# body has at most 2p edges from the monotone chain.  Real hulls have far
+# fewer facets than the bound: d = 8, p = 20 (bound 65450) has ~10^4 and
+# builds in ~0.1 s on a 2-core x86 VM, about 50 coding LPs' worth.
 MAX_HULL_FACETS = 100_000
+# planar hulls: a point closer than this many ulps of the largest |coordinate|
+# to the chord between its hull neighbours lies on that edge and is not a
+# vertex.  Qhull's roundoff merge keeps points only beyond about 12-15 such
+# ulps; the rounded boundary points of a polygon lie within about 3.
+HULL_COLLINEAR_ULPS = 8
 # relative gap within which facets count as active (tied) at a point
 FACET_TIE_RTOL = 1e-10
 # batched kernels (facet scores, IDW neighbours, the rho_empirical kernel) work
@@ -62,7 +68,8 @@ def _upper_bound_facets(n_vertices: int, dim: int) -> int:
     """Most facets of a simplicial dim-polytope with n_vertices vertices.
 
     McMullen's upper bound theorem (cyclic polytopes); it also bounds a
-    triangulated hull's facets, since Qhull's triangulation adds no vertices.
+    triangulated hull's facets, since Qhull's triangulation (d >= 3) adds no
+    vertices.  In d = 2 it is n, the edges of the monotone-chain polygon.
     """
     n, k = n_vertices, dim // 2
     if dim % 2 == 0:
@@ -84,10 +91,19 @@ def hull_facet_gradients(points: np.ndarray, qhull_options: str | None = None):
     """Convex hull of points around the origin and its facet gradients.
 
     Each facet hyperplane <n_f, x> = b_f gives y_f = n_f / b_f, so the
-    hull's gauge is max_f <y_f, x>.  Returns (hull, y) with y of shape
-    (F, d).  Raises ValueError when Qhull cannot build the hull (too few or
-    flat points) or when the origin is not interior to it (some b_f <= 0).
+    hull's gauge is max_f <y_f, x>.  Returns (vertices, simplices, y): the
+    indices of the hull's vertices into points, each facet's d vertex
+    indices (shape (F, d)) and y of shape (F, d).  In the plane the hull is
+    Andrew's monotone chain in numpy and Python, with vertices in
+    counter-clockwise order and facet f the edge from vertices[f] to the
+    next vertex; in d >= 3 it is Qhull's (scipy.spatial.ConvexHull with
+    qhull_options).  Collinear and repeated points are not vertices in
+    either case.  Raises ValueError when there is no hull (too few or flat
+    points) or when the origin is not interior to it (some b_f <= 0).
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 2 and points.shape[1] == 2:
+        return _planar_hull_facet_gradients(points)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -97,7 +113,53 @@ def hull_facet_gradients(points: np.ndarray, qhull_options: str | None = None):
     d = hull.points.shape[1]
     if np.any(hull.equations[:, d] >= 0):
         raise ValueError("the origin is not interior to the hull of the points")
-    return hull, _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
+    return hull.vertices, hull.simplices, _freeze(hull.equations[:, :d] / -hull.equations[:, d:])
+
+
+def _planar_hull_facet_gradients(points: np.ndarray):
+    if not np.isfinite(points).all():
+        raise ValueError("no convex hull: the points must be finite")
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    x, y = points[order, 0], points[order, 1]
+    tol = HULL_COLLINEAR_ULPS * math.ulp(float(np.abs(points).max(initial=0.0)))
+    # the upper chain is the lower chain of the points turned by 180 degrees
+    lower = _lower_chain(x, y, tol)
+    upper = len(x) - 1 - _lower_chain(-x[::-1], -y[::-1], tol)
+    ring = np.concatenate([lower[:-1], upper[:-1]])
+    if len(ring) < 3:
+        raise ValueError("no convex hull: fewer than 3 points off one line")
+    vertices = order[ring]
+    # edge f runs counter-clockwise from p = vertices[f] to q = vertices[f + 1]:
+    # outward normal (q_y - p_y, p_x - q_x), offset b = p_x q_y - p_y q_x,
+    # positive iff the origin is on its left
+    ends = np.append(vertices, vertices[0])
+    simplices = np.column_stack([ends[:-1], ends[1:]])
+    p, q = points[ends[:-1]], points[ends[1:]]
+    b = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    if (b <= 0).any():
+        raise ValueError("the origin is not interior to the hull of the points")
+    normal = np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]])
+    return vertices, simplices, _freeze(normal / b[:, None])
+
+
+def _lower_chain(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Positions of the lower hull chain of points sorted by (x, y).
+
+    One stack pass: the middle point a of o -> a -> p stays only where the
+    chain turns left by more than tol, measured as a's distance to the
+    chord o -> p.
+    """
+    stack = []
+    for k, (xk, yk) in enumerate(zip(x.tolist(), y.tolist())):
+        while len(stack) > 1:
+            _, ox, oy = stack[-2]
+            _, ax, ay = stack[-1]
+            dx, dy = xk - ox, yk - oy
+            if (ax - ox) * dy - (ay - oy) * dx > tol * math.hypot(dx, dy):
+                break
+            stack.pop()
+        stack.append((k, xk, yk))
+    return np.array([s[0] for s in stack], dtype=int)
 
 
 def _circle_cells(dirs: np.ndarray, n: int):
@@ -404,9 +466,10 @@ class DictionaryPolytopeBody(StarBody):
 
     The gauge of x is the minimal l1 coding norm min ||z||_1 subject to
     A z = x.  Since the body is a polytope, the constructor computes its
-    facet description once (Qhull, triangulated facets) and the gauge is
-    the closed form max_f <y_f, x> with y_f = n_f / b_f for the facet
-    hyperplanes <n_f, x> = b_f.  A body in R^1 is the interval
+    facet description once (hull_facet_gradients: the edges of Andrew's
+    monotone chain in d = 2, Qhull's triangulated facets in d >= 3) and the
+    gauge is the closed form max_f <y_f, x> with y_f = n_f / b_f for the
+    facet hyperplanes <n_f, x> = b_f.  A body in R^1 is the interval
     [-max|a_j|, max|a_j|] and gets its two "facets" directly.  A body
     whose facet count could exceed MAX_HULL_FACETS (by the upper bound
     theorem) solves the coding linear program per point instead.  A must
@@ -437,8 +500,7 @@ class DictionaryPolytopeBody(StarBody):
             self._facet_y = _freeze(np.array([[1.0], [-1.0]]) / self._signed[0, top])
             self._facet_vertices = np.array([[top], [(top + p) % (2 * p)]])
         elif _upper_bound_facets(2 * p, d) <= MAX_HULL_FACETS:
-            hull, self._facet_y = hull_facet_gradients(self._signed.T, "Qt")
-            self._facet_vertices = hull.simplices
+            _, self._facet_vertices, self._facet_y = hull_facet_gradients(self._signed.T, "Qt")
         if self._facet_y is not None:
             # Qt may split a non-simplicial facet into some zero-volume
             # simplices; they keep their facet's hyperplane but cannot carry a

@@ -131,9 +131,9 @@ def check_convexity(
     elif grid is None:
         grid = make_grid(body.dim)
     points = radial_on_grid(body, grid)[:, None] * grid.nodes
-    hull, y = hull_facet_gradients(points)
+    vertices, _, y = hull_facet_gradients(points)
     # only points that are not hull vertices can lie inside the hull
-    inner = np.delete(points, hull.vertices, axis=0)
+    inner = np.delete(points, vertices, axis=0)
     gauge = min(
         np.min(np.max(inner[rows] @ y.T, axis=1), initial=1.0)
         for rows in row_blocks(len(inner), len(y))

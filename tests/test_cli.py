@@ -521,23 +521,43 @@ def test_expected_gauge_on_a_spec_loads_no_scipy():
     assert not scipy_modules(loaded)
 
 
+def test_planar_dictionary_certificates_load_no_scipy():
+    # the planar facets come from the monotone chain, not Qhull
+    loaded = loaded_modules(
+        "import numpy as np; from starbody import geometry as g; "
+        "b = g.DictionaryPolytopeBody(np.array([[1.0, 0.3, -0.5], [0.2, 1.0, 0.7]])); "
+        "b.gauge_certificate_many(np.random.default_rng(0).normal(size=(50, 2)))"
+    )
+    assert not scipy_modules(loaded)
+
+
 def test_commands_without_hull_or_tree_load_no_scipy(tmp_path):
+    # a planar hull is numpy's monotone chain, so planar verdicts count here
     body = tmp_path / "body.json"
     body.write_text(ge.body_to_json(ge.EllipsoidBody(np.diag([1.5, 0.7]))))
     commands = [
         ["rho", "--density", "gaussian-identity-2d", "--out", "prof.csv", "--grid-n", "256"],
+        ["optimal", "--density", "gmm-eps:0.25", "--out", "gmm.json", "--format", "svg"],
+        ["optimal", "--density", "uniform-l1-2d", "--out", "l1.json"],
         ["gibbs-sample", "--body", str(body), "--n", "2000", "--out", "draws.csv"],
         ["fit", "--family", "ellipsoid", "--data", "draws.csv", "--out", "fit.json", "--iters", "5"],
+        ["fit", "--family", "dictionary", "--data", "draws.csv", "--out", "dict.json", "--iters", "5"],
+        ["optimal", "--samples", "draws.csv", "--out", "data_body.json"],
+        ["convexity", "--body", "gmm.json"],
         ["verify", "gibbs", "--out", "gibbs.json"],
+        ["reproduce", "gmm-bodies", "--out", "figures"],
+        ["reproduce", "gmm-critical-eps", "--out", "figures"],
     ]
     code = (
         "import os, sys; from starbody.cli import main; os.chdir(sys.argv[1])\n"
         "for argv in " + repr(commands) + ":\n"
         "    assert main(argv) == 0, argv\n"
-        "    print(argv[0], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "    print('loaded', argv[0], sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(ge.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["rho []", "gibbs-sample []", "fit []", "verify []"]
+    assert [line for line in proc.stdout.splitlines() if line.startswith("loaded ")] == [
+        f"loaded {argv[0]} []" for argv in commands
+    ]

@@ -34,11 +34,32 @@ def assert_certificates(A, X, vals, Z, Y):
     assert np.allclose(np.einsum("ij,ij->i", Y, X), vals, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_facet_gauge_matches_lp_oracle(d):
-    A, rng = random_dictionary(d, 100 + d)
+A1, A2 = np.array([1.0, 0.2]), np.array([-0.3, 1.0])
+# planar columns on an edge of conv(+-a_j) or parallel to another are not
+# vertices of the monotone-chain hull, yet every gauge and code is exact
+PLANAR = {
+    "edge-midpoint": [A1, A2, 0.5 * (A1 + A2)],
+    "midpoint-of-a1-to-minus-a2": [A1, A2, 0.5 * (A1 - A2)],
+    "parallel": [A1, A2, 2.0 * A1, -0.5 * A2],
+    "duplicate-parallel-midpoint": [A1, A2, A1, 3.0 * A2, 0.5 * (A1 + 3.0 * A2)],
+}
+
+
+def oracle_case(case):
+    """(A, X): a random dictionary in R^case, or a planar one probed at its columns and edge midpoints too."""
+    if case in PLANAR:
+        A = np.column_stack(PLANAR[case])
+        rng = np.random.default_rng(17)
+        X = np.vstack([rng.normal(size=(40, 2)), A.T, -A.T, 0.5 * (A.T + np.roll(A.T, 1, axis=0))])
+        return A, X
+    A, rng = random_dictionary(case, 100 + case)
+    return A, rng.normal(size=(40, case))
+
+
+@pytest.mark.parametrize("case", [2, 3, 4, 5, 6, *PLANAR])
+def test_facet_gauge_matches_lp_oracle(case):
+    A, X = oracle_case(case)
     body = sb.DictionaryPolytopeBody(A)
-    X = rng.normal(size=(40, d))
     oracle = np.array([lp_gauge(A, x) for x in X])
     assert np.allclose(body.gauge_many(X), oracle, rtol=1e-12, atol=0)
     vals, Z, Y = body.gauge_certificate_many(X)

@@ -232,6 +232,19 @@ def test_convexity_rejects_points_that_miss_the_origin():
         body = sb.RadialGridBody(sb.SphericalGrid(3, part, np.full(len(part), 0.1)), np.ones(len(part)))
         with pytest.raises(ValueError, match=message):
             opt.check_convexity(body)
+    # the planar hull raises the same errors; a body without its own grid is
+    # judged on any nodes, here on the square conv(+-(1, 1), +-(1, -1))
+    square = sb.UnionBody([sb.DictionaryPolytopeBody(np.array([[1.0, 1.0], [1.0, -1.0]]))])
+    t = np.linspace(0.1, np.pi - 0.1, 32)
+    side = np.column_stack([np.ones(5), np.linspace(-1.0, 1.0, 5)])  # points (1, s)
+    cases = [
+        (np.column_stack([np.cos(t), np.sin(t)]), "origin is not interior"),  # half circle
+        (side / np.linalg.norm(side, axis=1)[:, None], "no convex hull"),  # collinear
+        (np.eye(2), "no convex hull"),  # two points
+    ]
+    for nodes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.check_convexity(square, sb.SphericalGrid(2, nodes, np.full(len(nodes), 0.1)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +263,7 @@ def test_critical_epsilon_in_expected_bracket():
     trace = []
     eps_c = opt.critical_epsilon_gmm(GRID, record=trace)
     assert eps_c == 0.38398437500000004
+    assert opt.critical_epsilon_gmm() == 0.38398437500000004  # its default 1024-node circle
     assert trace[0][0] == 0.05 and not trace[0][2]
     assert trace[1][0] == 0.95 and trace[1][2]
 
