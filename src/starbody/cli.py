@@ -603,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument(
-        "--grid-n", type=int, default=1024, dest="grid_n", help="angular grid size"
+        "--grid-n", type=int, default=1024, dest="grid_n",
+        help="angular grid size (in d = 3 the nearest product grid, rings x azimuths + 2)",
     )
     common.add_argument("--out", default=None, help="output path")
     common.add_argument("--config", default=None, help="JSON file with default flags")

@@ -173,6 +173,73 @@ def _circle_cells(dirs: np.ndarray, n: int):
     return np.floor(t).astype(int) % n, t - np.floor(t)
 
 
+class _RingCells:
+    """Cell arithmetic on a lobatto_sphere_grid.
+
+    Its levels are the south pole, the rings and the north pole, ascending
+    in t = cos(theta).  A cell lies between two adjacent levels and two
+    adjacent azimuths; next to a pole two of its four corners are the pole.
+    In (t, phi) every cell is a rectangle, and since the sphere's area
+    element is dt dphi, a point uniform on that rectangle is uniform on the
+    cell.
+    """
+
+    # a direction this close to an azimuth line, in cell widths, lies on it,
+    # so that the nodes themselves interpolate to their own values exactly
+    AZIMUTH_SNAP = 1e-10
+
+    def __init__(self, grid: SphericalGrid) -> None:
+        az = grid.descriptor["azimuths"]
+        self.azimuths = az
+        ring_index = np.arange(1, grid.n - 1).reshape(-1, az)
+        # node index of (level, azimuth), with azimuth az repeating azimuth 0
+        # and a pole filling its whole level row; a cell's corners are then
+        # the flat positions c, c + 1, c + az + 1 and c + az + 2
+        index = np.vstack([np.zeros(az, dtype=int), ring_index, np.full(az, grid.n - 1)])
+        self.node_index = np.hstack([index, index[:, :1]]).ravel()
+        self.levels = np.concatenate([[-1.0], grid.nodes[ring_index[:, 0], 2], [1.0]])
+        self.theta = np.arccos(self.levels)
+
+    def locate(self, dirs: np.ndarray):
+        """Cells of unit directions and the corner weights within them.
+
+        Returns each cell's flat position c (its lower-left corner, see
+        __init__), the fraction in [0, 1] of the way from its lower level to
+        its upper one, linear in theta, and the fraction in [0, 1) of the
+        way from its first azimuth to the next.
+        """
+        t = np.clip(dirs[:, 2], -1.0, 1.0)
+        i = np.clip(np.searchsorted(self.levels, t, side="right") - 1, 0, len(self.levels) - 2)
+        j0, fp = _circle_cells(dirs, self.azimuths)
+        # snapped onto the azimuth line above: j0 + 1 with fraction 0
+        up = fp > 1.0 - self.AZIMUTH_SNAP
+        fp[up | (fp < self.AZIMUTH_SNAP)] = 0.0
+        return i * (self.azimuths + 1) + (j0 + up) % self.azimuths, self.level_fraction(i, t), fp
+
+    def level_fraction(self, i: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Fraction of the way from level i to level i + 1 at cosine t,
+        linear in theta."""
+        return (self.theta[i] - np.arccos(t)) / (self.theta[i] - self.theta[i + 1])
+
+    def corners(self, c: np.ndarray) -> np.ndarray:
+        """Node indices of the cells' corners, shape (4, m): lower level at
+        the first and next azimuth, then the upper level at both."""
+        step = self.azimuths + 1
+        return self.node_index[c + np.array([0, 1, step, step + 1])[:, None]]
+
+    def interpolate(self, values: np.ndarray, c, ft, fp) -> np.ndarray:
+        """Node values interpolated linearly in phi, then linearly in theta."""
+        v = values[self.corners(c)]
+        lower = (1.0 - fp) * v[0] + fp * v[1]
+        upper = (1.0 - fp) * v[2] + fp * v[3]
+        return (1.0 - ft) * lower + ft * upper
+
+
+def _ring_cells(grid: SphericalGrid):
+    """The cell arithmetic of a lobatto_sphere_grid; None for any other grid."""
+    return _RingCells(grid) if grid.descriptor.get("kind") == "lobatto3d" else None
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -236,18 +303,76 @@ def uniform_circle_grid(n: int = 1024) -> SphericalGrid:
     return SphericalGrid(2, nodes, weights, {"kind": "uniform2d", "n": n})
 
 
-def fibonacci_sphere_grid(n: int = 1024) -> SphericalGrid:
-    """Generalized-spiral nodes on S^2 with equal weights 4*pi/n."""
-    if n < 4:
-        raise ValueError("need at least 4 nodes on the 2-sphere")
-    k = np.arange(n)
-    z = 1.0 - (2.0 * k + 1.0) / n
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    nodes = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
-    weights = np.full(n, sphere_surface_area(3) / n)
-    return SphericalGrid(3, nodes, weights, {"kind": "fibonacci3d", "n": n})
+_LOBATTO_CACHE: dict = {}
+
+
+def _lobatto(npts: int):
+    """Gauss-Lobatto nodes (ascending, ends -1 and 1) and weights on [-1, 1].
+
+    The inner nodes are the roots of P'_{npts-1}; the weights are
+    2 / (k (k + 1) P_k(t)^2) with k = npts - 1.  Exact for polynomials of
+    degree 2 npts - 3.
+    """
+    if npts not in _LOBATTO_CACHE:
+        k = npts - 1
+        p_k = np.zeros(k + 1)
+        p_k[k] = 1.0
+        leg = np.polynomial.legendre
+        t = np.concatenate([[-1.0], np.sort(leg.legroots(leg.legder(p_k))), [1.0]])
+        w = 2.0 / (k * (k + 1) * leg.legval(t, p_k) ** 2)
+        _LOBATTO_CACHE[npts] = (_freeze(t), _freeze(w))
+    return _LOBATTO_CACHE[npts]
+
+
+def lobatto_sphere_grid(rings: int, azimuths: int) -> SphericalGrid:
+    """Product grid on S^2: Gauss-Lobatto levels in t = cos(theta) times
+    uniform azimuths.
+
+    The rule has rings + 2 Lobatto levels; the two end levels are the poles,
+    each one node, and every inner level is a ring of `azimuths` nodes at
+    phi_k = 2 pi k / azimuths.  Nodes run south pole, rings (ring-major, t
+    ascending), north pole.  A ring node weighs its Lobatto weight times
+    2 pi / azimuths and a pole its Lobatto weight times 2 pi, so the weights
+    are positive and sum to 4 pi; the rule integrates exactly every
+    spherical harmonic of degree below min(2 rings + 2, azimuths).
+    """
+    if rings < 1 or azimuths < 3:
+        raise ValueError("need at least 1 ring of at least 3 azimuths")
+    t, w = _lobatto(rings + 2)
+    phi = 2.0 * math.pi * np.arange(azimuths) / azimuths
+    s = np.sqrt(1.0 - t[1:-1] ** 2)
+    ring = np.column_stack(
+        [np.outer(s, np.cos(phi)).ravel(), np.outer(s, np.sin(phi)).ravel(), np.repeat(t[1:-1], azimuths)]
+    )
+    nodes = np.vstack([[0.0, 0.0, -1.0], ring, [0.0, 0.0, 1.0]])
+    weights = np.concatenate(
+        [[2.0 * math.pi * w[0]], np.repeat(w[1:-1] * (2.0 * math.pi / azimuths), azimuths), [2.0 * math.pi * w[-1]]]
+    )
+    return SphericalGrid(3, nodes, weights, {"kind": "lobatto3d", "rings": rings, "azimuths": azimuths})
+
+
+def _ring_shape(n: int):
+    """(rings R, azimuths A) of the product grid make_grid(3, n) builds.
+
+    Among the balanced shapes, 9/10 <= A / (2 R) <= 10/9, it takes the one
+    whose node count R A + 2 is nearest n, then the one with A / (2 R)
+    nearest 1 (as a ratio either way), then the one with more azimuths.  A
+    shape's own node count maps back to that shape, so the rule is
+    idempotent.
+    """
+    best = None
+    rings = 1
+    while True:
+        lo, hi = -(-18 * rings // 10), 20 * rings // 9  # 10 A >= 18 R, 9 A <= 20 R
+        if best is not None and rings * lo - (n - 2) > best[0][0]:
+            return best[1], best[2]  # every larger R only overshoots more
+        q = (n - 2) // rings
+        for az in {min(max(q, lo), hi), min(max(q + 1, lo), hi)}:
+            if az >= 3:
+                key = (abs(n - 2 - rings * az), max(az, 2 * rings) / min(az, 2 * rings), -az)
+                if best is None or key < best[0]:
+                    best = (key, rings, az)
+        rings += 1
 
 
 def _first_primes(k: int) -> np.ndarray:
@@ -292,16 +417,26 @@ def low_discrepancy_sphere_grid(dim: int, n: int) -> SphericalGrid:
 
 
 def make_grid(dim: int, n: int = 1024) -> SphericalGrid:
-    """Default quadrature grid for the requested dimension."""
+    """Default quadrature grid for the requested dimension.
+
+    d = 2: n equally spaced angles.  d = 3: the product grid
+    lobatto_sphere_grid(R, A) whose R rings of A azimuths (about twice as
+    many azimuths as rings) give R A + 2 nodes nearest n; see _ring_shape
+    for the rule.  2048 nodes are 31 x 66 + 2 and 1024 round to
+    22 x 46 + 2 = 1014; a product grid's own node count gives it back.
+    d >= 4: n Halton nodes.
+    """
     if dim == 2:
         return uniform_circle_grid(n)
     if dim == 3:
-        return fibonacci_sphere_grid(n)
+        if n < 4:
+            raise ValueError("need at least 4 nodes on the 2-sphere")
+        return lobatto_sphere_grid(*_ring_shape(n))
     return low_discrepancy_sphere_grid(dim, n)
 
 
 def grid_to_descriptor(grid: SphericalGrid) -> dict:
-    if grid.descriptor.get("kind") in ("uniform2d", "fibonacci3d", "halton"):
+    if grid.descriptor.get("kind") in ("uniform2d", "lobatto3d", "halton"):
         return dict(grid.descriptor)
     return {
         "kind": "explicit",
@@ -314,8 +449,13 @@ def grid_from_descriptor(desc: dict) -> SphericalGrid:
     kind = desc.get("kind")
     if kind == "uniform2d":
         return uniform_circle_grid(int(desc["n"]))
+    if kind == "lobatto3d":
+        return lobatto_sphere_grid(int(desc["rings"]), int(desc["azimuths"]))
     if kind == "fibonacci3d":
-        return fibonacci_sphere_grid(int(desc["n"]))
+        raise ValueError(
+            "'fibonacci3d' grids are no longer supported: d = 3 grids are 'lobatto3d' "
+            "product grids; rebuild the body or profile on make_grid(3, n)"
+        )
     if kind == "halton":
         return low_discrepancy_sphere_grid(int(desc["dim"]), int(desc["n"]))
     if kind == "explicit":
@@ -368,8 +508,14 @@ class RadialGridBody(StarBody):
     """Star body given by radii at grid nodes.
 
     dim=2 interpolates the radial function periodically and linearly in
-    angle; dim>=3 uses inverse-square-distance weights over the k=8 nearest
-    nodes (exact at the nodes themselves).
+    angle.  On a d = 3 product grid (lobatto_sphere_grid) a direction's cell
+    comes from arithmetic (its ring interval by np.searchsorted on t = cos
+    theta, its azimuth by floor) and rho is interpolated linearly in phi,
+    then linearly in theta, between the cell's four corner nodes; the
+    interpolant is continuous, exact at the nodes and peaks at a corner of
+    each cell.  On any other grid (Halton in d >= 4, explicit node sets) it
+    is the inverse-square-distance average over the k=8 nearest nodes of a
+    k-d tree (exact at the nodes themselves).
     """
 
     K_NEIGHBORS = 8
@@ -383,6 +529,7 @@ class RadialGridBody(StarBody):
         self.dim = grid.dim
         self.grid = grid
         self.radii = radii
+        self._cells = _ring_cells(grid)
         if self.dim == 2:
             order = np.argsort(grid.angles())
             ang = grid.angles()[order]
@@ -391,7 +538,7 @@ class RadialGridBody(StarBody):
                 raise ValueError("dim-2 radial grids need equally spaced angles")
             self._order = order
             self._sorted_radii = radii[order]
-        else:
+        elif self._cells is None:
             from scipy.spatial import cKDTree
 
             self._tree = cKDTree(grid.nodes)
@@ -402,6 +549,8 @@ class RadialGridBody(StarBody):
             j0, frac = _circle_cells(dirs, n)
             r = self._sorted_radii
             return (1.0 - frac) * r[j0] + frac * r[(j0 + 1) % n]
+        if self._cells is not None:
+            return self._cells.interpolate(self.radii, *self._cells.locate(dirs))
         k = min(self.K_NEIGHBORS, self.grid.n)
         out = np.empty(dirs.shape[0])
         # each row's query and weights are independent, so blocks give the
@@ -427,12 +576,10 @@ class RadialGridBody(StarBody):
     def gauge_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         norms = np.linalg.norm(points, axis=1)
-        out = np.zeros(points.shape[0])
-        nz = norms > 0
-        if np.any(nz):
-            dirs = points[nz] / norms[nz, None]
-            out[nz] = norms[nz] / self._interp_radial(dirs)
-        return out
+        # rows are interpolated independently; the origin takes the zero
+        # vector as its direction and gets gauge 0 / rho = 0
+        dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
+        return norms / self._interp_radial(dirs)
 
     def radial_many(self, dirs: np.ndarray) -> np.ndarray:
         return self._interp_radial(np.asarray(dirs, dtype=float))

@@ -95,14 +95,18 @@ def m_projection(bodies, data, grid: SphericalGrid, alpha: float = 1.0):
 def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = None) -> SampleSet:
     """n draws from p_K (alpha = 1) by polar factorization.
 
-    Only the gauge law is exact: the radius given the realized direction u
-    is Gamma(d, rho(u)), so the gauge of every draw is Gamma(d, 1).  The
-    direction law is grid-discretized and approximate: nodes are drawn with
-    weight w_j rho_j^d and jittered within their cell.  In d = 2 the error
-    is the cell-level discretization; in d >= 3 the Gaussian jitter also
-    smears mass into neighbouring cells, so moments are off by a few
-    percent (E[x x^T] against (d + 1) A A^T for the ellipsoid
-    diag(2, ..., 0.5) on 1024 nodes: about 2% in d = 3, 5% in d = 4).
+    The gauge law is exact: the radius given the realized direction u is
+    Gamma(d, rho(u)), so the gauge of every draw is Gamma(d, 1).  The
+    direction law comes from the body's radial values on the grid.  On a
+    d = 3 product grid it is exact for the RadialGridBody interpolant of
+    those values (density proportional to its rho^3, by rejection from the
+    grid cells; see density._sample_ring_cells), so a grid body on that
+    grid is sampled exactly.  Elsewhere nodes are drawn with weight
+    w_j rho_j^d and jittered within their cell: in d = 2 the error is the
+    cell-level discretization; in d >= 4 the Gaussian jitter also smears
+    mass into neighbouring cells, so moments are off by a few percent
+    (E[x x^T] against (d + 1) A A^T for the ellipsoid diag(2, ..., 0.5) on
+    1024 nodes: about 5% in d = 4).
     """
     if n < 1:
         raise ValueError("need at least one sample")

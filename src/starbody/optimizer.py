@@ -23,6 +23,7 @@ from starbody.geometry import (
     SphericalGrid,
     StarBody,
     _circle_cells,
+    _ring_cells,
     body_to_dict,
     dual_mixed_volume,
     hull_facet_gradients,
@@ -196,11 +197,11 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     """Directional-max star hull of a sample set.
 
     Every sample's norm raises the radial value of all the grid nodes its
-    direction interpolates through, so the returned body contains every
-    sample; nodes left empty inherit the nearest populated value.
+    direction interpolates through (the two of its angle cell in d = 2, the
+    four corners of its cell on a d = 3 product grid, its 8 nearest nodes
+    otherwise), so the returned body contains every sample; nodes left
+    empty inherit the nearest populated value.
     """
-    from scipy.spatial import cKDTree
-
     if grid is None:
         grid = make_grid(samples.dim)
     if samples.dim != grid.dim:
@@ -216,22 +217,40 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     dirs = X[nz]
     dirs /= norms[:, None]
     radii = np.zeros(grid.n)
+    ring_cells = _ring_cells(grid)
     if grid.dim == 2:
         j0, _ = _circle_cells(dirs, grid.n)
         np.maximum.at(radii, j0, norms)
         np.maximum.at(radii, (j0 + 1) % grid.n, norms)
+    elif ring_cells is not None:
+        # the max is order-free, so row blocks bound the (4, rows) corner
+        # arrays; the same located cells give the body its gauge
+        for rows in row_blocks(len(dirs), 4):
+            cell, _, _ = ring_cells.locate(dirs[rows])
+            # (rows, 4) against (rows, 1): NumPy 2.4's ufunc.at misreads a
+            # (rows,) value array broadcast against (4, rows) indices
+            np.maximum.at(radii, ring_cells.corners(cell).T, norms[rows, None])
     else:
+        from scipy.spatial import cKDTree
+
         k = min(RadialGridBody.K_NEIGHBORS, grid.n)
         tree = cKDTree(grid.nodes)
-        # the max is order-free, so row blocks give the same radii while
-        # the (rows, k) neighbour arrays stay bounded
+        # as above, row blocks bound the (rows, k) neighbour arrays
         for rows in row_blocks(len(dirs), k):
             _, idx = tree.query(dirs[rows], k=k)
             np.maximum.at(radii, idx.reshape(-1, k), norms[rows, None])
     empty = radii == 0
     if np.any(empty):
         filled = np.flatnonzero(~empty)
-        _, nearest = cKDTree(grid.nodes[filled]).query(grid.nodes[empty])
+        if ring_cells is not None:
+            # the nearest node on the sphere has the largest inner product
+            lost, kept = grid.nodes[empty], grid.nodes[filled].T
+            blocks = row_blocks(len(lost), len(filled))
+            nearest = np.concatenate([np.argmax(lost[rows] @ kept, axis=1) for rows in blocks])
+        else:
+            from scipy.spatial import cKDTree
+
+            _, nearest = cKDTree(grid.nodes[filled]).query(grid.nodes[empty])
         radii[empty] = radii[filled[nearest]]
     return RadialGridBody(grid, radii)
 

@@ -521,6 +521,21 @@ def test_expected_gauge_on_a_spec_loads_no_scipy():
     assert not scipy_modules(loaded)
 
 
+def test_product_grid_bodies_load_no_scipy():
+    # cells come from arithmetic, so a d = 3 grid body needs no k-d tree;
+    # check_convexity in d = 3 still builds a Qhull hull and is left out
+    loaded = loaded_modules(
+        "import numpy as np; from starbody import density as dn, geometry as g, gibbs as gb, optimizer as op; "
+        "grid = g.make_grid(3, 512); "
+        "body = g.RadialGridBody(grid, np.random.default_rng(0).uniform(0.5, 1.5, grid.n)); "
+        "body.gauge_many(np.random.default_rng(1).normal(size=(100, 3))); "
+        "draws = gb.sample_gibbs(body, 2000, seed=2, grid=grid); "
+        "gb.gauge_ks_statistic(body, draws); "
+        "op.support_body(draws, grid); op.support_body(dn.SampleSet(3, draws.points[:20]), grid)"
+    )
+    assert not scipy_modules(loaded)
+
+
 def test_planar_dictionary_certificates_load_no_scipy():
     # the planar facets come from the monotone chain, not Qhull
     loaded = loaded_modules(

@@ -376,6 +376,22 @@ def test_sample_set_csv_roundtrip(tmp_path):
     assert np.array_equal(back.points, s.points)
 
 
+def test_profile_csv_roundtrip_keeps_product_grid(tmp_path):
+    path = tmp_path / "profile.csv"
+    for grid in (sb.make_grid(3, 2048), sb.make_grid(3, 300)):
+        prof = dn.rho_analytic(dn.GaussianDensity(np.diag([4.0, 1.0, 0.25])), grid)
+        prof.to_csv(path)
+        back = dn.RadialProfile.from_csv(path)
+        assert back.grid.descriptor == grid.descriptor
+        assert sb.volume(back.body(), back.grid) == pytest.approx(sb.volume(prof.body(), grid), rel=1e-12, abs=0)
+    # nodes of no product grid still load, with equal weights
+    explicit = sb.SphericalGrid(3, grid.nodes[::-1], grid.weights[::-1], {"kind": "explicit"})
+    dn.RadialProfile(explicit, prof.values[::-1]).to_csv(path)
+    back = dn.RadialProfile.from_csv(path)
+    assert back.grid.descriptor == {"kind": "explicit"}
+    assert np.allclose(back.grid.weights, 4.0 * np.pi / grid.n, rtol=1e-14, atol=0)
+
+
 def test_sample_set_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0,oops\n")

@@ -54,6 +54,50 @@ def test_circle_grid_nodes_and_weights():
 def test_sphere_grid_nodes_and_weights():
     assert np.allclose(np.linalg.norm(GRID3.nodes, axis=1), 1.0, atol=1e-12)
     assert math.isclose(GRID3.weights.sum(), 4 * np.pi, rel_tol=1e-12)
+    assert np.all(GRID3.weights > 0)
+    # 31 rings of 66 azimuths between the two poles, ring-major, t ascending
+    assert GRID3.n == 2048 and GRID3.descriptor == {"kind": "lobatto3d", "rings": 31, "azimuths": 66}
+    assert GRID3.nodes[0].tolist() == [0.0, 0.0, -1.0] and GRID3.nodes[-1].tolist() == [0.0, 0.0, 1.0]
+    rings = GRID3.nodes[1:-1, 2].reshape(31, 66)
+    assert np.all(rings == rings[:, :1]) and np.all(np.diff(rings[:, 0]) > 0)
+    # the Lobatto levels integrate every power t^k, k <= 2 * 31 + 1, exactly
+    t = GRID3.nodes[:, 2]
+    for k in range(64):
+        exact = 4.0 * np.pi / (k + 1) if k % 2 == 0 else 0.0
+        assert np.dot(GRID3.weights, t**k) == pytest.approx(exact, rel=1e-12, abs=1e-13)
+
+
+def ellipsoid_volume_errors(grid, r, rotations=10):
+    """Relative quadrature volume errors of randomly rotated ellipsoids with
+    semi-axes geomspace(1, r, 3)."""
+    axes = np.geomspace(1.0, r, 3)
+    errors = []
+    for seed in range(rotations):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        exact = 4.0 / 3.0 * np.pi * np.prod(axes)
+        errors.append(abs(sb.volume(sb.EllipsoidBody((q * axes) @ q.T), grid) / exact - 1.0))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_product_grid_ellipsoid_volume(r):
+    # equal-weight spiral nodes were off by 4.6e-6 at r = 1.5
+    errors = ellipsoid_volume_errors(GRID3, r)
+    assert np.median(errors) <= 1e-10
+    assert errors.max() <= 1e-9
+
+
+def test_make_grid_3_is_idempotent():
+    for n in [4, 10, 64, 100, 256, 300, 1000, 1024, 2048, 2050, 4097, *range(500, 560)]:
+        grid = sb.make_grid(3, n)
+        assert abs(grid.n - n) <= max(8, 0.05 * n)
+        again = sb.make_grid(3, grid.n)
+        assert again.descriptor == grid.descriptor
+        assert again.nodes.tobytes() == grid.nodes.tobytes()
+        rings, az = grid.descriptor["rings"], grid.descriptor["azimuths"]
+        assert 18 * rings <= 10 * az <= 200 * rings / 9
+    with pytest.raises(ValueError):
+        sb.make_grid(3, 3)
 
 
 def test_higher_dim_grid():
@@ -138,9 +182,64 @@ def test_radial_grid_interpolation_3d():
     assert abs(body.radial(u) - (1.0 + 0.2 / 3)) < 0.05
 
 
+@pytest.mark.parametrize("n", [64, 256, 2048])
+def test_product_grid_body_returns_node_values_exactly(n):
+    grid = sb.make_grid(3, n)
+    body = sb.RadialGridBody(grid, np.random.default_rng(n).uniform(0.5, 1.5, grid.n))
+    assert body.radial_many(grid.nodes).tobytes() == body.radii.tobytes()
+    # inside a cell the value stays within the range of its corners: the
+    # first two azimuths of the first two rings
+    az = grid.descriptor["azimuths"]
+    corners = [1, 2, 1 + az, 2 + az]
+    mid = grid.nodes[corners].sum(axis=0)
+    rho = body.radii[corners]
+    assert rho.min() - 1e-12 <= body.radial(mid / np.linalg.norm(mid)) <= rho.max() + 1e-12
+    assert np.all(body.gauge_many(np.zeros((2, 3))) == 0.0)
+    assert body.gauge_many(np.empty((0, 3))).shape == (0,)
+
+
+def fibonacci_nodes(n):
+    """Generalized-spiral nodes on S^2, the equal-weight d = 3 grid the product
+    grid replaced."""
+    k = np.arange(n)
+    z = 1.0 - (2.0 * k + 1.0) / n
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * k
+    s = np.sqrt(1.0 - z * z)
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+
+
+def idw_radial(nodes, rho, dirs, k=8):
+    """Inverse-square-distance average over the k nearest nodes."""
+    from scipy.spatial import cKDTree
+
+    dist, idx = cKDTree(nodes).query(dirs, k=k)
+    w = 1.0 / dist**2
+    return np.sum(w * rho[idx], axis=1) / np.sum(w, axis=1)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 5.0])
+def test_product_grid_gauge_beats_spiral_idw(r):
+    spiral = fibonacci_nodes(GRID3.n)
+    rng = np.random.default_rng(int(10 * r))
+    dirs = rng.standard_normal((20_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        ell = sb.EllipsoidBody((q * np.geomspace(1.0, r, 3)) @ q.T)
+        exact = ell.radial_many(dirs)
+        product = sb.RadialGridBody(GRID3, ell.radial_many(GRID3.nodes)).radial_many(dirs)
+        err = np.abs(product / exact - 1.0)
+        err_idw = np.abs(idw_radial(spiral, ell.radial_many(spiral), dirs) / exact - 1.0)
+        assert err.max() <= err_idw.max()
+        assert err.mean() <= err_idw.mean()
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_radial_grid_idw_same_bytes_in_row_blocks(d, monkeypatch):
     grid = sb.make_grid(d, 256)
+    if d == 3:
+        # product grids interpolate by cells; IDW serves explicit node sets
+        grid = sb.SphericalGrid(3, grid.nodes, grid.weights, {"kind": "explicit"})
     rng = np.random.default_rng(d)
     body = sb.RadialGridBody(grid, rng.uniform(0.5, 1.5, grid.n))
     # random points plus scaled grid nodes, so some blocks hit the exact-node branch
@@ -513,9 +612,18 @@ def test_all_types_json_roundtrip():
 def test_explicit_grid_descriptor_roundtrip():
     body = sb.RadialGridBody(GRID3, 1.0 + 0.1 * GRID3.nodes[:, 0] ** 2)
     data = json.loads(sb.body_to_json(body))
-    assert data["grid"]["kind"] == "fibonacci3d"
+    assert data["grid"] == {"kind": "lobatto3d", "rings": 31, "azimuths": 66}
     back = sb.body_from_dict(data)
     assert np.array_equal(back.radii, body.radii)
+    assert back.grid.nodes.tobytes() == GRID3.nodes.tobytes()
+    assert back.grid.weights.tobytes() == GRID3.weights.tobytes()
+
+
+def test_spiral_grid_descriptor_is_refused():
+    data = json.loads(sb.body_to_json(sb.RadialGridBody(GRID3, np.ones(GRID3.n))))
+    data["grid"] = {"kind": "fibonacci3d", "n": 2048}
+    with pytest.raises(ValueError, match="'fibonacci3d'.*'lobatto3d'"):
+        sb.body_from_dict(data)
 
 
 def test_invalid_constructions():

@@ -154,6 +154,44 @@ def test_sampler_gauge_law_is_gamma():
         assert gb.gauge_ks_statistic(body, samples) < 1.63 / math.sqrt(30_000)
 
 
+def cellwise_gauss_rule(grid, k=8):
+    """Directions and weights of a k x k Gauss-Legendre rule in (t, phi) on
+    every cell of a product grid: exact for the body's interpolant up to its
+    smoothness within a cell, independent of the grid's own weights."""
+    az = grid.descriptor["azimuths"]
+    levels = np.concatenate([[-1.0], grid.nodes[1:-1:az, 2], [1.0]])
+    x, w = np.polynomial.legendre.leggauss(k)
+    half = np.diff(levels)[:, None] / 2
+    t = ((levels[:-1, None] + levels[1:, None]) / 2 + half * x).ravel()
+    wt = (half * w).ravel()
+    phi = ((np.arange(az)[:, None] + (x + 1) / 2) * (2 * np.pi / az)).ravel()
+    wp = np.tile(w * np.pi / az, az)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    s = np.sqrt(1 - tt**2)
+    dirs = np.stack([s * np.cos(pp), s * np.sin(pp), tt], axis=-1).reshape(-1, 3)
+    return dirs, np.outer(wt, wp).ravel()
+
+
+def test_sampler_is_exact_for_the_product_grid_interpolant():
+    # an elongated ellipsoid's node values: its interpolant is the body sampled
+    grid = sb.make_grid(3, 256)
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    ell = sb.EllipsoidBody((q * np.geomspace(1.0, 3.0, 3)) @ q.T)
+    body = sb.RadialGridBody(grid, ell.radial_many(grid.nodes))
+    dirs, w = cellwise_gauss_rule(grid)
+    rho = body.radial_many(dirs)
+    # Gibbs draws x = t rho(u) u with t ~ Gamma(3, 1) and u ~ rho^3:
+    # E[x x^T] = E[t^2] integral rho^5 u u^T / integral rho^3
+    target = 12.0 * np.einsum("i,ij,ik->jk", w * rho**5, dirs, dirs) / np.dot(w, rho**3)
+    n = 1_000_000
+    pts = gb.sample_gibbs(body, n, seed=17, grid=grid).points
+    for i in range(3):
+        for j in range(i, 3):
+            prod = pts[:, i] * pts[:, j]
+            z = (prod.mean() - target[i, j]) / (prod.std() / math.sqrt(n))
+            assert abs(z) < 4.0, (i, j, z)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_gauge_ks_statistic_equals_scipy_kstest(dim):
     # the closed form with the Erlang CDF must reproduce kstest's statistic

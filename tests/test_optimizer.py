@@ -325,13 +325,19 @@ def test_support_body_consistency_for_dense_samples():
 def test_support_body_3d_containment():
     grid3 = sb.make_grid(3, 1024)
     rng = np.random.default_rng(37)
-    pts = rng.normal(size=(2000, 3))
-    body = opt.support_body(dn.SampleSet(3, pts), grid3)
-    assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
+    # bulk samples, then samples in both polar caps (inside the first ring)
+    # and on the poles themselves, whose cells have the pole as two corners
+    cap = np.column_stack([0.05 * rng.normal(size=(400, 2)), np.sign(rng.normal(size=400))])
+    poles = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, -0.5]])
+    pts = np.vstack([rng.normal(size=(2000, 3)), cap * rng.uniform(0.5, 3.0, (400, 1)), poles])
+    for samples in (pts, pts[-30:]):
+        body = opt.support_body(dn.SampleSet(3, samples), grid3)
+        assert np.all(body.gauge_many(samples) <= 1.0 + 1e-12)
 
 
 def dense_support_radii(pts, grid):
-    """support_body's d >= 3 node radii with all k-d tree queries at once."""
+    """support_body's k-d tree node radii (Halton and explicit grids) with
+    all queries at once."""
     from scipy.spatial import cKDTree
 
     norms = np.linalg.norm(pts, axis=1)
@@ -343,14 +349,19 @@ def dense_support_radii(pts, grid):
 
 
 def test_support_body_same_radii_in_row_blocks(monkeypatch):
-    grid3 = sb.make_grid(3, 256)
-    pts = np.random.default_rng(41).normal(size=(5 * 100 + 3, 3))
-    dense = dense_support_radii(pts, grid3)
+    grid4 = sb.make_grid(4, 256)
+    pts = np.random.default_rng(41).normal(size=(5 * 100 + 3, 4))
+    dense = dense_support_radii(pts, grid4)
     assert np.all(dense > 0)
+    grid3 = sb.make_grid(3, 256)
+    whole3 = opt.support_body(dn.SampleSet(3, pts[:, :3]), grid3).radii
     # 100 directions per block: 5 full blocks and a 3-row tail
     monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 100 * 8)
-    blocked = opt.support_body(dn.SampleSet(3, pts), grid3).radii
+    blocked = opt.support_body(dn.SampleSet(4, pts), grid4).radii
     assert blocked.tobytes() == dense.tobytes()
+    # the product grid's (rows, 4) corner blocks: 200 directions per block
+    blocked3 = opt.support_body(dn.SampleSet(3, pts[:, :3]), grid3).radii
+    assert blocked3.tobytes() == whole3.tobytes()
 
 
 def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
