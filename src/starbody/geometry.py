@@ -576,10 +576,12 @@ class RadialGridBody(StarBody):
     def gauge_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         norms = np.linalg.norm(points, axis=1)
-        # rows are interpolated independently; the origin takes the zero
-        # vector as its direction and gets gauge 0 / rho = 0
-        dirs = points / np.where(norms > 0, norms, 1.0)[:, None]
-        return norms / self._interp_radial(dirs)
+        out = np.zeros(points.shape[0])
+        nz = norms > 0
+        if np.any(nz):
+            dirs = points[nz] / norms[nz, None]
+            out[nz] = norms[nz] / self._interp_radial(dirs)
+        return out
 
     def radial_many(self, dirs: np.ndarray) -> np.ndarray:
         return self._interp_radial(np.asarray(dirs, dtype=float))

@@ -242,15 +242,10 @@ def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> Radia
     empty = radii == 0
     if np.any(empty):
         filled = np.flatnonzero(~empty)
-        if ring_cells is not None:
-            # the nearest node on the sphere has the largest inner product
-            lost, kept = grid.nodes[empty], grid.nodes[filled].T
-            blocks = row_blocks(len(lost), len(filled))
-            nearest = np.concatenate([np.argmax(lost[rows] @ kept, axis=1) for rows in blocks])
-        else:
-            from scipy.spatial import cKDTree
-
-            _, nearest = cKDTree(grid.nodes[filled]).query(grid.nodes[empty])
+        # the nearest node on the sphere has the largest inner product
+        lost, kept = grid.nodes[empty], grid.nodes[filled].T
+        blocks = row_blocks(len(lost), len(filled))
+        nearest = np.concatenate([np.argmax(lost[rows] @ kept, axis=1) for rows in blocks])
         radii[empty] = radii[filled[nearest]]
     return RadialGridBody(grid, radii)
 

@@ -536,6 +536,15 @@ def test_product_grid_bodies_load_no_scipy():
     assert not scipy_modules(loaded)
 
 
+def test_planar_support_body_loads_no_scipy():
+    # nodes no sample reaches copy the nearest raised node by inner product
+    loaded = loaded_modules(
+        "import numpy as np; from starbody import density as dn, geometry as g, optimizer as op; "
+        "op.support_body(dn.SampleSet(2, np.random.default_rng(0).normal(size=(5, 2))), g.make_grid(2, 256))"
+    )
+    assert not scipy_modules(loaded)
+
+
 def test_planar_dictionary_certificates_load_no_scipy():
     # the planar facets come from the monotone chain, not Qhull
     loaded = loaded_modules(

@@ -322,8 +322,13 @@ def test_support_body_consistency_for_dense_samples():
     assert dists[1] < dists[0]
 
 
-def test_support_body_3d_containment():
-    grid3 = sb.make_grid(3, 1024)
+def explicit_copy(grid):
+    """The same nodes and weights as an unstructured grid, which support_body
+    and RadialGridBody serve with the k-d tree's 8 nearest nodes."""
+    return sb.SphericalGrid(grid.dim, grid.nodes, grid.weights, {"kind": "explicit"})
+
+
+def check_3d_containment(grid3):
     rng = np.random.default_rng(37)
     # bulk samples, then samples in both polar caps (inside the first ring)
     # and on the poles themselves, whose cells have the pole as two corners
@@ -333,6 +338,43 @@ def test_support_body_3d_containment():
     for samples in (pts, pts[-30:]):
         body = opt.support_body(dn.SampleSet(3, samples), grid3)
         assert np.all(body.gauge_many(samples) <= 1.0 + 1e-12)
+
+
+def test_support_body_3d_containment():
+    check_3d_containment(sb.make_grid(3, 1024))
+
+
+def test_support_body_3d_containment_on_explicit_grid():
+    check_3d_containment(explicit_copy(sb.make_grid(3, 1024)))
+
+
+@pytest.mark.parametrize("grid", [GRID, sb.make_grid(3, 1024), sb.make_grid(4, 256)],
+                         ids=["circle", "product", "halton"])
+def test_support_body_fills_empty_nodes_from_nearest(grid):
+    from scipy.spatial import cKDTree
+
+    pts = np.random.default_rng(39).normal(size=(grid.dim + 3, grid.dim))
+    norms = np.linalg.norm(pts, axis=1)
+    dirs = pts / norms[:, None]
+    radii = opt.support_body(dn.SampleSet(grid.dim, pts), grid).radii
+    # the nodes some sample raised hold that sample's norm or a larger one
+    raised = np.zeros(grid.n, dtype=bool)
+    if grid.dim == 2:
+        j0, _ = sb.geometry._circle_cells(dirs, grid.n)
+        raised[j0] = raised[(j0 + 1) % grid.n] = True
+    elif grid.descriptor["kind"] == "lobatto3d":
+        cells = sb.geometry._ring_cells(grid)
+        raised[cells.corners(cells.locate(dirs)[0]).ravel()] = True
+    else:
+        raised[cKDTree(grid.nodes).query(dirs, k=8)[1].ravel()] = True
+    assert np.isin(radii[raised], norms).all()
+    # every other node copies a nearest raised node
+    dist, _ = cKDTree(grid.nodes[raised]).query(grid.nodes[~raised])
+    lost = grid.nodes[~raised]
+    source = np.flatnonzero(raised)
+    for node, value, best in zip(lost, radii[~raised], dist):
+        at = source[radii[raised] == value]
+        assert np.min(np.linalg.norm(grid.nodes[at] - node, axis=1)) <= best + 1e-12
 
 
 def dense_support_radii(pts, grid):
@@ -364,10 +406,10 @@ def test_support_body_same_radii_in_row_blocks(monkeypatch):
     assert blocked3.tobytes() == whole3.tobytes()
 
 
-def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
-    """Python-side peak stays below two copies of the samples plus a few
-    (rows, k) neighbour blocks, rather than growing as m x k."""
-    grid3 = sb.make_grid(3, 256)
+def check_memory_bounded_by_row_blocks(grid3, monkeypatch):
+    """Python-side peak stays below two copies of the samples plus a few row
+    blocks, (rows, 4) cell corners on the product grid or (rows, k)
+    neighbours on an explicit grid, rather than growing as m x k."""
     samples = dn.SampleSet(3, np.random.default_rng(43).normal(size=(100_000, 3)))
     monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 1 << 13)
     opt.support_body(samples, grid3)
@@ -378,6 +420,14 @@ def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * samples.points.nbytes + 4 * 8 * sb.geometry.CHUNK_ENTRIES
+
+
+def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
+    check_memory_bounded_by_row_blocks(sb.make_grid(3, 256), monkeypatch)
+
+
+def test_support_body_memory_is_bounded_on_explicit_grid(monkeypatch):
+    check_memory_bounded_by_row_blocks(explicit_copy(sb.make_grid(3, 256)), monkeypatch)
 
 
 def test_support_body_needs_enough_samples():
