@@ -50,39 +50,16 @@ DENSITY_SHORTHANDS = (
 # ---------------------------------------------------------------------------
 
 
-def _json_text(obj, level: int = 0) -> str:
-    """Render obj as JSON with sorted keys and %.17g floats.
+def _json_text(obj) -> str:
+    """obj as JSON with sorted keys, two-space indents and shortest round-trip
+    floats; NaN and infinity raise ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_plain)
 
-    json.dumps cannot control float formatting, so this walks the tree
-    itself.  %.17g round-trips every float64 exactly.
-    """
-    pad = "  " * level
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f"{pad}  {json.dumps(str(k))}: {_json_text(obj[k], level + 1)}"
-            for k in sorted(obj, key=str)
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        rows = [f"{pad}  {_json_text(v, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), level)
-    if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return json.dumps(bool(obj) if obj is not None else None)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError("non-finite value in output")
-        return "%.17g" % v
-    if isinstance(obj, str):
-        return json.dumps(obj)
+
+def _plain(obj):
+    """The Python value of a NumPy array or scalar, for json.dumps."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -26,7 +26,6 @@ from starbody.geometry import (
     RadialGridBody,
     SphericalGrid,
     StarBody,
-    _ring_cells,
     body_from_dict,
     body_to_dict,
     make_grid,
@@ -360,7 +359,7 @@ class UniformOverBody(DensitySpec):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
-        dirs = _sample_directions(self.grid, radial_on_grid(self.body, self.grid) ** d, n, rng)
+        dirs = self.grid.cells.sample(radial_on_grid(self.body, self.grid) ** d, n, rng)
         r = self.body.radial_many(dirs) * rng.random(n) ** (1.0 / d)
         return r[:, None] * dirs
 
@@ -432,7 +431,7 @@ class GaugeInducedDensity(DensitySpec):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
-        dirs = _sample_directions(self.grid, radial_on_grid(self.body, self.grid) ** d, n, rng)
+        dirs = self.grid.cells.sample(radial_on_grid(self.body, self.grid) ** d, n, rng)
         rho = self.body.radial_many(dirs)
         if self.profile == "exp":
             t = rng.gamma(shape=d, scale=1.0, size=n)
@@ -441,75 +440,6 @@ class GaugeInducedDensity(DensitySpec):
         else:  # indicator: uniform over the body
             t = rng.random(n) ** (1.0 / d)
         return (t * rho)[:, None] * dirs
-
-
-def _sample_directions(
-    grid: SphericalGrid, mass: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Directions with spherical density proportional to a per-node mass.
-
-    A body's rho^d as the mass gives the direction law of its uniform and
-    gauge-induced densities.  On a d = 3 product grid (lobatto_sphere_grid)
-    every caller passes such a rho^3, and the draws follow exactly the law
-    proportional to rho~^3 of the RadialGridBody interpolant rho~ of those
-    radii (_sample_ring_cells).  On any other grid, nodes are drawn with
-    probability proportional to w_j * mass_j, then jittered within the
-    local cell for absolute continuity: uniformly in angle in d = 2, by a
-    Gaussian on Halton (d >= 4) and explicit grids.
-    """
-    cells = _ring_cells(grid)
-    if cells is not None:
-        return _sample_ring_cells(cells, grid, np.cbrt(mass), n, rng)
-    d = grid.dim
-    p = grid.weights * mass
-    p = p / p.sum()
-    idx = rng.choice(grid.n, size=n, p=p)
-    if d == 2:
-        step = 2.0 * math.pi / grid.n
-        theta = grid.angles()[idx] + (rng.random(n) - 0.5) * step
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    base = grid.nodes[idx]
-    spread = math.sqrt(sphere_surface_area(d) / grid.n) / 2.0
-    jittered = base + spread * rng.standard_normal((n, d))
-    jittered /= np.linalg.norm(jittered, axis=1, keepdims=True)
-    return jittered
-
-
-def _sample_ring_cells(
-    cells, grid: SphericalGrid, radii: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n directions on a product grid with density proportional to rho~^3.
-
-    rho~ is the RadialGridBody interpolant of radii.  Rejection from a
-    piecewise-uniform envelope: a cell is picked with probability
-    proportional to dt dphi M^3, M its largest corner radius, a point is
-    drawn uniformly in (t, phi) on it, which is uniform on the cell, and
-    kept with probability (rho~(u) / M)^3 <= 1, since rho~ peaks at a
-    corner of its cell.  Rounds are sized by the expected acceptance,
-    sum_j w_j rho_j^3 over the envelope's mass.
-    """
-    az = cells.azimuths
-    level = np.repeat(np.arange(len(cells.levels) - 1), az)
-    corner = level * (az + 1) + np.tile(np.arange(az), len(cells.levels) - 1)
-    top = radii[cells.corners(corner)].max(axis=0)
-    dt = np.diff(cells.levels)[level]
-    envelope = dt * top**3
-    acceptance = float(np.dot(grid.weights, radii**3)) / (2.0 * math.pi / az * envelope.sum())
-    p = envelope / envelope.sum()
-    kept = []
-    need = n
-    while need > 0:
-        m = int(need / min(acceptance, 1.0) * 1.05) + 16
-        pick = rng.choice(len(p), size=m, p=p)
-        t = cells.levels[level[pick]] + rng.random(m) * dt[pick]
-        fp = rng.random(m)
-        rho = cells.interpolate(radii, corner[pick], cells.level_fraction(level[pick], t), fp)
-        keep = rng.random(m) < (rho / top[pick]) ** 3
-        phi = (pick[keep] % az + fp[keep]) * (2.0 * math.pi / az)
-        s = np.sqrt(1.0 - t[keep] ** 2)
-        kept.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), t[keep]]))
-        need -= len(kept[-1])
-    return np.concatenate(kept)[:n]
 
 
 def _polar_proposal(body: StarBody, grid: SphericalGrid, n: int, rng: np.random.Generator):
@@ -789,7 +719,7 @@ class AnnularRegion:
         rng = _as_rng(seed)
         d = self.dim
         shell = self.outer.radii**d - self.inner.radii**d
-        dirs = _sample_directions(self.grid, shell, n, rng)
+        dirs = self.grid.cells.sample(shell, n, rng)
         lo = self.inner.radial_many(dirs) ** d
         hi = self.outer.radial_many(dirs) ** d
         r = (lo + rng.random(n) * (hi - lo)) ** (1.0 / d)

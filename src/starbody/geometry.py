@@ -7,12 +7,14 @@ unions, dilates), gauge and radial evaluation, spherical quadrature grids,
 volumes and dual mixed volumes, the radial sup-metric, and the harmonic
 Blaschke combination.
 
-All grids and bodies are immutable after construction; every operation is
-pure and thread-safe.
+All grids and bodies are immutable after construction, and every operation
+is pure and thread-safe: a grid caches its node lookup (SphericalGrid.cells)
+on first use, and threads racing on that first use build identical copies.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -163,14 +165,56 @@ def _lower_chain(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _circle_cells(dirs: np.ndarray, n: int):
-    """Angle cell of planar directions on n equally spaced nodes.
+    """Angle cell of planar directions on n equally spaced angles.
 
-    Returns the node index j0 at or below each direction's angle and the
-    fraction in [0, 1) of the way to node j0 + 1 (mod n).
+    Returns the angle slot j0 at or below each direction's angle and the
+    fraction in [0, 1) of the way to slot j0 + 1 (mod n).
     """
     theta = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * math.pi)
     t = theta * n / (2.0 * math.pi)
     return np.floor(t).astype(int) % n, t - np.floor(t)
+
+
+def _pick_nodes(weights: np.ndarray, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n node indices drawn with probability proportional to w_j * mass_j."""
+    p = weights * mass
+    p = p / p.sum()
+    return rng.choice(len(weights), size=n, p=p)
+
+
+class _AngleCells:
+    """Angle cells of a planar grid whose nodes may come in any order.
+
+    A direction reads the two nodes around its angle, linearly in angle
+    (which presumes equally spaced angles).  The sampler spreads each node
+    drawn with weight w_j mass_j uniformly over the angle step centred on it.
+    """
+
+    width = 2
+
+    def __init__(self, grid: SphericalGrid) -> None:
+        self.angles = grid.angles()
+        self.weights = grid.weights
+        self.order = np.argsort(self.angles)  # node index of each angle slot
+
+    def _slots(self, dirs: np.ndarray):
+        j0, frac = _circle_cells(dirs, len(self.order))
+        return j0, (j0 + 1) % len(self.order), frac
+
+    def stencil(self, dirs: np.ndarray) -> np.ndarray:
+        j0, j1, _ = self._slots(dirs)
+        return self.order[np.column_stack([j0, j1])]
+
+    def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        j0, j1, frac = self._slots(dirs)
+        r = values[self.order]
+        return (1.0 - frac) * r[j0] + frac * r[j1]
+
+    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        idx = _pick_nodes(self.weights, mass, n, rng)
+        step = 2.0 * math.pi / len(self.angles)
+        theta = self.angles[idx] + (rng.random(n) - 0.5) * step
+        return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 class _RingCells:
@@ -184,6 +228,7 @@ class _RingCells:
     cell.
     """
 
+    width = 4
     # a direction this close to an azimuth line, in cell widths, lies on it,
     # so that the nodes themselves interpolate to their own values exactly
     AZIMUTH_SNAP = 1e-10
@@ -191,6 +236,7 @@ class _RingCells:
     def __init__(self, grid: SphericalGrid) -> None:
         az = grid.descriptor["azimuths"]
         self.azimuths = az
+        self.weights = grid.weights
         ring_index = np.arange(1, grid.n - 1).reshape(-1, az)
         # node index of (level, azimuth), with azimuth az repeating azimuth 0
         # and a pole filling its whole level row; a cell's corners are then
@@ -227,17 +273,104 @@ class _RingCells:
         step = self.azimuths + 1
         return self.node_index[c + np.array([0, 1, step, step + 1])[:, None]]
 
-    def interpolate(self, values: np.ndarray, c, ft, fp) -> np.ndarray:
+    def _blend(self, values: np.ndarray, c, ft, fp) -> np.ndarray:
         """Node values interpolated linearly in phi, then linearly in theta."""
         v = values[self.corners(c)]
         lower = (1.0 - fp) * v[0] + fp * v[1]
         upper = (1.0 - fp) * v[2] + fp * v[3]
         return (1.0 - ft) * lower + ft * upper
 
+    def stencil(self, dirs: np.ndarray) -> np.ndarray:
+        return self.corners(self.locate(dirs)[0]).T
 
-def _ring_cells(grid: SphericalGrid):
-    """The cell arithmetic of a lobatto_sphere_grid; None for any other grid."""
-    return _RingCells(grid) if grid.descriptor.get("kind") == "lobatto3d" else None
+    def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        return self._blend(values, *self.locate(dirs))
+
+    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Directions whose density is exactly proportional to rho~^3, where
+        rho~ interpolates the radii mass^(1/3).
+
+        Rejection from a piecewise-uniform envelope: a cell is picked with
+        probability proportional to dt dphi M^3, M its largest corner
+        radius, a point is drawn uniformly in (t, phi) on it, which is
+        uniform on the cell, and kept with probability (rho~(u) / M)^3 <= 1,
+        since rho~ peaks at a corner of its cell.  Rounds are sized by the
+        expected acceptance, sum_j w_j rho_j^3 over the envelope's mass.
+        """
+        radii = np.cbrt(mass)
+        az = self.azimuths
+        level = np.repeat(np.arange(len(self.levels) - 1), az)
+        corner = level * (az + 1) + np.tile(np.arange(az), len(self.levels) - 1)
+        top = radii[self.corners(corner)].max(axis=0)
+        dt = np.diff(self.levels)[level]
+        envelope = dt * top**3
+        acceptance = float(np.dot(self.weights, radii**3)) / (2.0 * math.pi / az * envelope.sum())
+        p = envelope / envelope.sum()
+        kept = []
+        need = n
+        while need > 0:
+            m = int(need / min(acceptance, 1.0) * 1.05) + 16
+            pick = rng.choice(len(p), size=m, p=p)
+            t = self.levels[level[pick]] + rng.random(m) * dt[pick]
+            fp = rng.random(m)
+            rho = self._blend(radii, corner[pick], self.level_fraction(level[pick], t), fp)
+            keep = rng.random(m) < (rho / top[pick]) ** 3
+            phi = (pick[keep] % az + fp[keep]) * (2.0 * math.pi / az)
+            s = np.sqrt(1.0 - t[keep] ** 2)
+            kept.append(np.column_stack([s * np.cos(phi), s * np.sin(phi), t[keep]]))
+            need -= len(kept[-1])
+        return np.concatenate(kept)[:n]
+
+
+class _NearestNodes:
+    """The 8 nearest nodes of a direction, by a k-d tree built on first use.
+
+    Values are the inverse-square-distance average over them, exact at a
+    node.  The sampler moves each node drawn with weight w_j mass_j by a
+    Gaussian of half the node spacing, projected back onto the sphere, so
+    it smears mass into neighbouring cells.
+    """
+
+    def __init__(self, grid: SphericalGrid) -> None:
+        self.nodes = grid.nodes
+        self.weights = grid.weights
+        self.width = min(8, grid.n)
+
+    @functools.cached_property
+    def _tree(self):
+        from scipy.spatial import cKDTree
+
+        return cKDTree(self.nodes)
+
+    def _query(self, dirs: np.ndarray):
+        dist, idx = self._tree.query(dirs, k=self.width)
+        return dist.reshape(len(dirs), self.width), idx.reshape(len(dirs), self.width)
+
+    def stencil(self, dirs: np.ndarray) -> np.ndarray:
+        return self._query(dirs)[1]
+
+    def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        out = np.empty(len(dirs))
+        # each row's query and weights are independent, so blocks give the
+        # same bytes while the (rows, k) temporaries stay bounded
+        for rows in row_blocks(len(out), self.width):
+            dist, idx = self._query(dirs[rows])
+            block = out[rows]
+            exact = dist[:, 0] < 1e-12
+            block[exact] = values[idx[exact, 0]]
+            rest = ~exact
+            if np.any(rest):
+                w = 1.0 / dist[rest] ** 2
+                block[rest] = np.sum(w * values[idx[rest]], axis=1) / np.sum(w, axis=1)
+        return out
+
+    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        idx = _pick_nodes(self.weights, mass, n, rng)
+        n_nodes, d = self.nodes.shape
+        spread = math.sqrt(sphere_surface_area(d) / n_nodes) / 2.0
+        jittered = self.nodes[idx] + spread * rng.standard_normal((n, d))
+        jittered /= np.linalg.norm(jittered, axis=1, keepdims=True)
+        return jittered
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -285,6 +418,23 @@ class SphericalGrid:
     @property
     def n(self) -> int:
         return self.nodes.shape[0]
+
+    @functools.cached_property
+    def cells(self):
+        """The grid's node lookup, chosen once and cached on first use.
+
+        Cell arithmetic on a lobatto3d product grid, angle cells in d = 2,
+        the 8 nearest nodes otherwise.  Each scheme has `width` and
+        stencil(dirs), the (rows, width) nodes a unit direction's
+        interpolant reads; interpolate(values, dirs); and sample(mass, n,
+        rng), directions with density proportional to a per-node mass (a
+        body's rho^d gives its uniform, gauge-induced and Gibbs laws).
+        """
+        if self.descriptor.get("kind") == "lobatto3d":
+            return _RingCells(self)
+        if self.dim == 2:
+            return _AngleCells(self)
+        return _NearestNodes(self)
 
     def angles(self) -> np.ndarray:
         """Node angles in [0, 2*pi); only meaningful for dim=2."""
@@ -507,18 +657,13 @@ class StarBody:
 class RadialGridBody(StarBody):
     """Star body given by radii at grid nodes.
 
-    dim=2 interpolates the radial function periodically and linearly in
-    angle.  On a d = 3 product grid (lobatto_sphere_grid) a direction's cell
-    comes from arithmetic (its ring interval by np.searchsorted on t = cos
-    theta, its azimuth by floor) and rho is interpolated linearly in phi,
-    then linearly in theta, between the cell's four corner nodes; the
-    interpolant is continuous, exact at the nodes and peaks at a corner of
-    each cell.  On any other grid (Halton in d >= 4, explicit node sets) it
-    is the inverse-square-distance average over the k=8 nearest nodes of a
-    k-d tree (exact at the nodes themselves).
+    Its radial function interpolates the radii through the grid's node
+    lookup, SphericalGrid.cells, shared by every body on the grid: linear
+    in angle in d = 2 (equally spaced angles only), linear in phi then in
+    theta within a d = 3 product-grid cell, and the inverse-square-distance
+    average over the 8 nearest nodes on any other grid (Halton in d >= 4,
+    explicit node sets).  Each is exact at the nodes.
     """
-
-    K_NEIGHBORS = 8
 
     def __init__(self, grid: SphericalGrid, radii) -> None:
         radii = _freeze(np.asarray(radii, dtype=float))
@@ -526,52 +671,13 @@ class RadialGridBody(StarBody):
             raise ValueError("radii must align with grid nodes")
         if np.any(radii <= 0) or not np.all(np.isfinite(radii)):
             raise ValueError("radial values must be positive and finite")
+        if grid.dim == 2:
+            step = 2.0 * math.pi / grid.n
+            if np.max(np.abs(np.sort(grid.angles()) - step * np.arange(grid.n))) > 1e-9:
+                raise ValueError("dim-2 radial grids need equally spaced angles")
         self.dim = grid.dim
         self.grid = grid
         self.radii = radii
-        self._cells = _ring_cells(grid)
-        if self.dim == 2:
-            order = np.argsort(grid.angles())
-            ang = grid.angles()[order]
-            step = 2.0 * math.pi / grid.n
-            if np.max(np.abs(ang - step * np.arange(grid.n))) > 1e-9:
-                raise ValueError("dim-2 radial grids need equally spaced angles")
-            self._order = order
-            self._sorted_radii = radii[order]
-        elif self._cells is None:
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(grid.nodes)
-
-    def _interp_radial(self, dirs: np.ndarray) -> np.ndarray:
-        if self.dim == 2:
-            n = self.grid.n
-            j0, frac = _circle_cells(dirs, n)
-            r = self._sorted_radii
-            return (1.0 - frac) * r[j0] + frac * r[(j0 + 1) % n]
-        if self._cells is not None:
-            return self._cells.interpolate(self.radii, *self._cells.locate(dirs))
-        k = min(self.K_NEIGHBORS, self.grid.n)
-        out = np.empty(dirs.shape[0])
-        # each row's query and weights are independent, so blocks give the
-        # same bytes while the (rows, k) temporaries stay bounded
-        for rows in row_blocks(len(out), k):
-            out[rows] = self._idw(dirs[rows], k)
-        return out
-
-    def _idw(self, dirs: np.ndarray, k: int) -> np.ndarray:
-        dist, idx = self._tree.query(dirs, k=k)
-        dist = dist.reshape(len(dirs), k)
-        idx = idx.reshape(len(dirs), k)
-        out = np.empty(len(dirs))
-        exact = dist[:, 0] < 1e-12
-        out[exact] = self.radii[idx[exact, 0]]
-        rest = ~exact
-        if np.any(rest):
-            w = 1.0 / dist[rest] ** 2
-            vals = self.radii[idx[rest]]
-            out[rest] = np.sum(w * vals, axis=1) / np.sum(w, axis=1)
-        return out
 
     def gauge_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -580,11 +686,11 @@ class RadialGridBody(StarBody):
         nz = norms > 0
         if np.any(nz):
             dirs = points[nz] / norms[nz, None]
-            out[nz] = norms[nz] / self._interp_radial(dirs)
+            out[nz] = norms[nz] / self.grid.cells.interpolate(self.radii, dirs)
         return out
 
     def radial_many(self, dirs: np.ndarray) -> np.ndarray:
-        return self._interp_radial(np.asarray(dirs, dtype=float))
+        return self.grid.cells.interpolate(self.radii, np.asarray(dirs, dtype=float))
 
 
 class EllipsoidBody(StarBody):

@@ -19,7 +19,6 @@ from starbody.density import (
     SampleSet,
     _as_rng,
     _polar_proposal,
-    _sample_directions,
     _validate_alpha,
     expected_gauge,
 )
@@ -97,10 +96,10 @@ def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = No
 
     The gauge law is exact: the radius given the realized direction u is
     Gamma(d, rho(u)), so the gauge of every draw is Gamma(d, 1).  The
-    direction law comes from the body's radial values on the grid.  On a
-    d = 3 product grid it is exact for the RadialGridBody interpolant of
-    those values (density proportional to its rho^3, by rejection from the
-    grid cells; see density._sample_ring_cells), so a grid body on that
+    direction law is grid.cells.sample with the body's rho^d on the grid
+    as the node mass.  On a d = 3 product grid it is exact for the
+    RadialGridBody interpolant of those radial values (density proportional
+    to its rho^3, by rejection from the grid cells), so a grid body on that
     grid is sampled exactly.  Elsewhere nodes are drawn with weight
     w_j rho_j^d and jittered within their cell: in d = 2 the error is the
     cell-level discretization; in d >= 4 the Gaussian jitter also smears
@@ -113,7 +112,7 @@ def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = No
     if grid is None:
         grid = make_grid(body.dim)
     rng = _as_rng(seed)
-    u = _sample_directions(grid, radial_on_grid(body, grid) ** body.dim, n, rng)
+    u = grid.cells.sample(radial_on_grid(body, grid) ** body.dim, n, rng)
     t = rng.gamma(body.dim, 1.0, size=n)
     pts = (t / body.gauge_many(u))[:, None] * u
     meta = {"spec": "gibbs"}

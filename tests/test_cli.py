@@ -442,12 +442,16 @@ def test_config_supplies_required_data(tmp_path):
 
 
 def test_json_writer_precision_and_order():
-    text = cli._json_text({"b": math.pi, "a": [1, True, None]})
-    assert text.index('"a"') < text.index('"b"')
-    assert "3.1415926535897931" in text
-    assert float("3.1415926535897931") == math.pi
-    with pytest.raises(ValueError):
-        cli._json_text({"x": float("nan")})
+    obj = {"b": math.pi, "a": [1, True, None, np.int64(2), np.bool_(False)], "c": np.array([0.1, -0.0, 1e-300])}
+    text = cli._json_text(obj)
+    assert text.index('"a"') < text.index('"b"') < text.index('"c"')
+    assert "3.141592653589793" in text
+    back = json.loads(text)
+    assert back == {"b": math.pi, "a": [1, True, None, 2, False], "c": [0.1, -0.0, 1e-300]}
+    assert math.copysign(1.0, back["c"][1]) == -1.0
+    for bad in (float("nan"), np.array([1.0, np.inf])):
+        with pytest.raises(ValueError):
+            cli._json_text({"x": bad})
 
 
 def test_svg_structure(tmp_path):
@@ -505,10 +509,15 @@ def test_import_leaves_heavy_scipy_submodules_unloaded():
     planar = loaded_modules("import starbody.cli; import starbody.geometry as g; "
                             "g.make_grid(2, 64); g.make_grid(3, 64)")
     assert not scipy_modules(planar)
-    # the Halton grid of d >= 4 needs scipy.special's normal quantile and nothing more
-    halton = loaded_modules("import starbody.cli; import starbody.geometry as g; g.make_grid(4, 64)")
+    # the Halton grid of d >= 4 needs scipy.special's normal quantile and nothing more,
+    # also to draw directions on it: its nearest-node k-d tree is built for a gauge only
+    halton = loaded_modules(
+        "import numpy as np; import starbody.cli; from starbody import density as dn, geometry as g, gibbs as gb; "
+        "grid = g.make_grid(4, 256); body = g.EllipsoidBody(np.eye(4)); gb.sample_gibbs(body, 1000, grid=grid); "
+        "dn.UniformOverBody(body, grid).sample(1000, np.random.default_rng(0))"
+    )
     assert scipy_modules(halton) <= scipy_modules(loaded_modules("import scipy.special"))
-    assert "scipy.special" in halton
+    assert "scipy.special" in halton and "scipy.spatial" not in halton
 
 
 def test_expected_gauge_on_a_spec_loads_no_scipy():

@@ -246,7 +246,7 @@ def test_radial_grid_idw_same_bytes_in_row_blocks(d, monkeypatch):
     X = np.vstack([rng.normal(size=(3000, d)), 2.0 * grid.nodes[::5]])
     X = X[rng.permutation(len(X))]
     whole = body.gauge_many(X)
-    k = body.K_NEIGHBORS
+    k = grid.cells.width  # the nearest-node scheme's k
     monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 7 * k)
     assert len(sb.geometry.row_blocks(len(X), k)) > 400
     assert body.gauge_many(X).tobytes() == whole.tobytes()

@@ -297,11 +297,20 @@ def test_support_body_circle_samples():
     assert np.all(np.abs(body.radii - 1.0) < 0.01)
 
 
+def permuted_circle(n=64):
+    """The uniform circle grid as an explicit grid whose nodes are not in
+    angle order."""
+    grid = sb.make_grid(2, n)
+    perm = np.random.default_rng(n).permutation(n)
+    return sb.SphericalGrid(2, grid.nodes[perm], grid.weights[perm], {"kind": "explicit"})
+
+
 def test_support_body_contains_all_samples():
     rng = np.random.default_rng(29)
     pts = rng.normal(size=(500, 2)) * np.array([2.0, 0.5])
-    body = opt.support_body(dn.SampleSet(2, pts), GRID)
-    assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
+    for grid in (GRID, permuted_circle()):
+        body = opt.support_body(dn.SampleSet(2, pts), grid)
+        assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
 
 
 def test_support_body_l1_vertices():
@@ -348,25 +357,17 @@ def test_support_body_3d_containment_on_explicit_grid():
     check_3d_containment(explicit_copy(sb.make_grid(3, 1024)))
 
 
-@pytest.mark.parametrize("grid", [GRID, sb.make_grid(3, 1024), sb.make_grid(4, 256)],
-                         ids=["circle", "product", "halton"])
+@pytest.mark.parametrize("grid", [GRID, sb.make_grid(3, 1024), sb.make_grid(4, 256), permuted_circle()],
+                         ids=["circle", "product", "halton", "permuted"])
 def test_support_body_fills_empty_nodes_from_nearest(grid):
     from scipy.spatial import cKDTree
 
     pts = np.random.default_rng(39).normal(size=(grid.dim + 3, grid.dim))
     norms = np.linalg.norm(pts, axis=1)
-    dirs = pts / norms[:, None]
     radii = opt.support_body(dn.SampleSet(grid.dim, pts), grid).radii
     # the nodes some sample raised hold that sample's norm or a larger one
     raised = np.zeros(grid.n, dtype=bool)
-    if grid.dim == 2:
-        j0, _ = sb.geometry._circle_cells(dirs, grid.n)
-        raised[j0] = raised[(j0 + 1) % grid.n] = True
-    elif grid.descriptor["kind"] == "lobatto3d":
-        cells = sb.geometry._ring_cells(grid)
-        raised[cells.corners(cells.locate(dirs)[0]).ravel()] = True
-    else:
-        raised[cKDTree(grid.nodes).query(dirs, k=8)[1].ravel()] = True
+    raised[grid.cells.stencil(pts / norms[:, None])] = True
     assert np.isin(radii[raised], norms).all()
     # every other node copies a nearest raised node
     dist, _ = cKDTree(grid.nodes[raised]).query(grid.nodes[~raised])
@@ -375,6 +376,21 @@ def test_support_body_fills_empty_nodes_from_nearest(grid):
     for node, value, best in zip(lost, radii[~raised], dist):
         at = source[radii[raised] == value]
         assert np.min(np.linalg.norm(grid.nodes[at] - node, axis=1)) <= best + 1e-12
+
+
+def test_bodies_on_one_grid_share_one_kd_tree(monkeypatch):
+    import scipy.spatial
+
+    built = []
+    tree = scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", lambda nodes: built.append(nodes) or tree(nodes))
+    grid = sb.make_grid(4, 256)
+    rng = np.random.default_rng(40)
+    pts = rng.normal(size=(50, 4))
+    for _ in range(2):
+        sb.RadialGridBody(grid, rng.uniform(0.5, 1.5, grid.n)).gauge_many(pts)
+    opt.support_body(dn.SampleSet(4, pts), grid)
+    assert len(built) == 1
 
 
 def dense_support_radii(pts, grid):
