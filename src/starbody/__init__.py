@@ -40,11 +40,9 @@ from starbody.geometry import (
     body_to_json,
     dilate,
     dual_mixed_volume,
-    gauge,
     harmonic_blaschke,
     make_grid,
     outer_radius_bound,
-    radial,
     radial_distance,
     star_union,
     volume,

@@ -96,7 +96,7 @@ def _stem_path(out, suffix: str) -> Path:
 
 
 def _write_body(path, body) -> None:
-    _write_atomic_text(path, _json_text(ge.body_to_dict(body)) + "\n")
+    _emit_json(ge.body_to_dict(body), path)
 
 
 def _write_boundary_csv(path, body, grid) -> None:
@@ -264,7 +264,6 @@ def _cmd_fit(args) -> int:
     cfg = ln.FitConfig(
         family=_FAMILY_ALIASES[args.family],
         max_iters=args.iters,
-        step_size=args.step,
         inner_width_floor=args.floor,
         seed=args.seed,
         p=args.p,
@@ -621,11 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--report", default=None, help="risk report JSON path")
     p_fit.add_argument("--p", type=int, default=None)
     p_fit.add_argument("--L", type=int, default=None)
-    p_fit.add_argument("--iters", type=int, default=60)
-    p_fit.add_argument(
-        "--step", type=float, default=0.5, help="first trial step (dictionary family only)"
-    )
-    p_fit.add_argument("--floor", type=float, default=1e-3)
+    p_fit.add_argument("--iters", type=int, default=ln.FitConfig.max_iters)
+    p_fit.add_argument("--floor", type=float, default=ln.FitConfig.inner_width_floor)
 
     p_ver = sub.add_parser("verify", parents=[common], help="run a self-check suite")
     p_ver.add_argument("suite", choices=sorted(VERIFY_SUITES))

@@ -14,6 +14,7 @@ samples with a spherical kernel, and evaluates expected gauges
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -462,13 +463,9 @@ def _polar_proposal(body: StarBody, grid: SphericalGrid, n: int, rng: np.random.
 # Analytic radial statistic
 # ---------------------------------------------------------------------------
 
-_LEGENDRE_CACHE: dict = {}
-
-
+@functools.cache
 def _leggauss(npts: int):
-    if npts not in _LEGENDRE_CACHE:
-        _LEGENDRE_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _LEGENDRE_CACHE[npts]
+    return np.polynomial.legendre.leggauss(npts)
 
 
 def quad_radial(fn, r_max: float, rel_tol: float, base_panels: int = 8):

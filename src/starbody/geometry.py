@@ -89,6 +89,12 @@ def row_blocks(n_rows: int, width: int) -> list:
     return [slice(i, i + step) for i in range(0, max(n_rows, 1), step)]
 
 
+def facet_gauge(points: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max_f <y_f, x> for every row x of points, in row_blocks(n, len(y))."""
+    blocks = row_blocks(len(points), len(y))
+    return np.concatenate([np.max(points[rows] @ y.T, axis=1) for rows in blocks])
+
+
 def hull_facet_gradients(points: np.ndarray, qhull_options: str | None = None):
     """Convex hull of points around the origin and its facet gradients.
 
@@ -185,9 +191,11 @@ def _pick_nodes(weights: np.ndarray, mass: np.ndarray, n: int, rng: np.random.Ge
 class _AngleCells:
     """Angle cells of a planar grid whose nodes may come in any order.
 
-    A direction reads the two nodes around its angle, linearly in angle
-    (which presumes equally spaced angles).  The sampler spreads each node
-    drawn with weight w_j mass_j uniformly over the angle step centred on it.
+    A direction reads the two nodes around its angle, linearly in angle.
+    The sampler spreads each node drawn with weight w_j mass_j uniformly
+    over the angle step centred on it.  Both presume equally spaced angles,
+    so a grid whose sorted angles stray from 2 pi j / n by more than 1e-9
+    raises ValueError.
     """
 
     width = 2
@@ -196,6 +204,9 @@ class _AngleCells:
         self.angles = grid.angles()
         self.weights = grid.weights
         self.order = np.argsort(self.angles)  # node index of each angle slot
+        step = 2.0 * math.pi / grid.n
+        if np.max(np.abs(self.angles[self.order] - step * np.arange(grid.n))) > 1e-9:
+            raise ValueError("dim-2 grid cells need equally spaced angles")
 
     def _slots(self, dirs: np.ndarray):
         j0, frac = _circle_cells(dirs, len(self.order))
@@ -453,9 +464,7 @@ def uniform_circle_grid(n: int = 1024) -> SphericalGrid:
     return SphericalGrid(2, nodes, weights, {"kind": "uniform2d", "n": n})
 
 
-_LOBATTO_CACHE: dict = {}
-
-
+@functools.cache
 def _lobatto(npts: int):
     """Gauss-Lobatto nodes (ascending, ends -1 and 1) and weights on [-1, 1].
 
@@ -463,15 +472,13 @@ def _lobatto(npts: int):
     2 / (k (k + 1) P_k(t)^2) with k = npts - 1.  Exact for polynomials of
     degree 2 npts - 3.
     """
-    if npts not in _LOBATTO_CACHE:
-        k = npts - 1
-        p_k = np.zeros(k + 1)
-        p_k[k] = 1.0
-        leg = np.polynomial.legendre
-        t = np.concatenate([[-1.0], np.sort(leg.legroots(leg.legder(p_k))), [1.0]])
-        w = 2.0 / (k * (k + 1) * leg.legval(t, p_k) ** 2)
-        _LOBATTO_CACHE[npts] = (_freeze(t), _freeze(w))
-    return _LOBATTO_CACHE[npts]
+    k = npts - 1
+    p_k = np.zeros(k + 1)
+    p_k[k] = 1.0
+    leg = np.polynomial.legendre
+    t = np.concatenate([[-1.0], np.sort(leg.legroots(leg.legder(p_k))), [1.0]])
+    w = 2.0 / (k * (k + 1) * leg.legval(t, p_k) ** 2)
+    return _freeze(t), _freeze(w)
 
 
 def lobatto_sphere_grid(rings: int, azimuths: int) -> SphericalGrid:
@@ -659,10 +666,11 @@ class RadialGridBody(StarBody):
 
     Its radial function interpolates the radii through the grid's node
     lookup, SphericalGrid.cells, shared by every body on the grid: linear
-    in angle in d = 2 (equally spaced angles only), linear in phi then in
-    theta within a d = 3 product-grid cell, and the inverse-square-distance
-    average over the 8 nearest nodes on any other grid (Halton in d >= 4,
-    explicit node sets).  Each is exact at the nodes.
+    in angle in d = 2, linear in phi then in theta within a d = 3
+    product-grid cell, and the inverse-square-distance average over the 8
+    nearest nodes on any other grid (Halton in d >= 4, explicit node sets).
+    Each is exact at the nodes.  The constructor builds the grid's cells,
+    so a planar grid without equally spaced angles raises ValueError here.
     """
 
     def __init__(self, grid: SphericalGrid, radii) -> None:
@@ -671,10 +679,7 @@ class RadialGridBody(StarBody):
             raise ValueError("radii must align with grid nodes")
         if np.any(radii <= 0) or not np.all(np.isfinite(radii)):
             raise ValueError("radial values must be positive and finite")
-        if grid.dim == 2:
-            step = 2.0 * math.pi / grid.n
-            if np.max(np.abs(np.sort(grid.angles()) - step * np.arange(grid.n))) > 1e-9:
-                raise ValueError("dim-2 radial grids need equally spaced angles")
+        grid.cells  # validates the node layout the interpolant relies on
         self.dim = grid.dim
         self.grid = grid
         self.radii = radii
@@ -764,22 +769,6 @@ class DictionaryPolytopeBody(StarBody):
             hadamard = np.prod(np.linalg.norm(verts, axis=1), axis=1)
             self._facet_solvable = np.abs(np.linalg.det(verts)) > 1e-12 * hadamard
 
-    def gauge_certificate(self, x: np.ndarray):
-        """Gauge of one point with primal/dual certificates.
-
-        Returns
-        -------
-        value : float
-        z : ndarray, shape (p,)
-            Signed coefficients with A z = x and ||z||_1 = value.
-        y : ndarray, shape (d,)
-            A subgradient of the gauge at x, with ||A^T y||_inf <= 1 and
-            <y, x> = value.
-        """
-        x = np.asarray(x, dtype=float)
-        vals, Z, Y = self.gauge_certificate_many(x[None, :])
-        return float(vals[0]), Z[0], Y[0]
-
     def gauge_certificate_many(self, points: np.ndarray):
         """Gauges, primal codes z (n, p) and subgradients y (n, d) of many points.
 
@@ -854,8 +843,7 @@ class DictionaryPolytopeBody(StarBody):
         points = np.asarray(points, dtype=float)
         if self._facet_y is None:
             return self.gauge_certificate_many(points)[0]
-        blocks = row_blocks(len(points), len(self._facet_y))
-        return np.concatenate([np.max(points[rows] @ self._facet_y.T, axis=1) for rows in blocks])
+        return facet_gauge(points, self._facet_y)
 
 
 class UnionBody(StarBody):
@@ -899,16 +887,6 @@ class DilateBody(StarBody):
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def gauge(body: StarBody, x) -> float:
-    """Gauge of x with respect to the body (module-level alias)."""
-    return body.gauge(x)
-
-
-def radial(body: StarBody, u) -> float:
-    """Radial function of the body at the unit vector u."""
-    return body.radial(u)
 
 
 def radial_on_grid(body: StarBody, grid: SphericalGrid) -> np.ndarray:

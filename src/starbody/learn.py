@@ -17,7 +17,7 @@ backtracks until it descends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -46,26 +46,29 @@ from starbody.geometry import (
 from starbody.optimizer import optimal_body
 
 _FAMILIES = ("ellipsoid", "dictionary", "union_ellipsoids")
+# the dictionary descent's first trial step, halved until the step descends
+FIRST_TRIAL_STEP = 0.5
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Family selection and optimization knobs shared by all fitters.
 
-    inner_width_floor is the well-conditioning radius r: every fitted body
-    keeps min_u rho(u) >= r.  p (dictionary columns) and L (union parts)
-    only apply to their families, and step_size is the dictionary
-    descent's first trial step (the ellipsoid-family updates take none).
-    volume_normalization controls whether ellipsoid-family results are
-    returned at unit volume; the dictionary class is pinned to unit columns
-    instead and ignores it.
+    max_iters bounds the iterations of every family.  inner_width_floor is
+    the well-conditioning radius r: the ellipsoid and union fits keep
+    min_u rho(u) >= r through an eigenvalue cap, while the dictionary class
+    is pinned to unit columns instead, so there the floor only adds an
+    event when the fitted body falls below it.  seed drives the union's
+    directional seeding; a dictionary fit draws from it only where a column
+    must be seeded from a random sample (a degenerate column), and the
+    ellipsoid fit does not use it.  p (dictionary columns, default 2d) and
+    L (union parts, default 2) only apply to their families.  Ellipsoid and
+    union fits return unit-volume bodies.
     """
 
     family: str = "ellipsoid"
     max_iters: int = 60
-    step_size: float = 0.5
     inner_width_floor: float = 1e-3
-    volume_normalization: bool = True
     seed: int = 0
     p: int | None = None
     L: int | None = None
@@ -77,24 +80,13 @@ class FitConfig:
             raise ValueError("inner width floor must be positive")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
-        if not (self.step_size > 0):
-            raise ValueError("step size must be positive")
         if self.p is not None and self.p < 1:
             raise ValueError("dictionary needs at least one column")
         if self.L is not None and self.L < 1:
             raise ValueError("union needs at least one part")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "max_iters": self.max_iters,
-            "step_size": self.step_size,
-            "inner_width_floor": self.inner_width_floor,
-            "volume_normalization": self.volume_normalization,
-            "seed": self.seed,
-            "p": self.p,
-            "L": self.L,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -181,9 +173,8 @@ def fit_ellipsoid(
     every step descends with no step size (a Tyler-type scatter
     M-estimator).  It stops when the risk falls by at most 1e-12 of the
     first risk.  The default start water-fills the sample second moment;
-    pass `init` to warm-start.  With volume_normalization the returned
-    ellipsoid is scaled to unit volume and the risk trace is reported in
-    that same scale.
+    pass `init` to warm-start.  The returned ellipsoid is scaled to unit
+    volume and the risk trace is reported in that same scale.
     """
     X = _clean_points(samples)
     m, d = samples.m, samples.dim
@@ -192,7 +183,7 @@ def fit_ellipsoid(
     if X.shape[0] < d or np.linalg.matrix_rank(X) < d:
         raise ValueError("rank-deficient sample matrix")
 
-    scale_out = unit_ball_volume(d) ** (1.0 / d) if cfg.volume_normalization else 1.0
+    scale_out = unit_ball_volume(d) ** (1.0 / d)
     # the floor applies to the returned body; translate it to det A = 1 scale
     eig_cap = 1.0 / (cfg.inner_width_floor * scale_out) ** 2
 
@@ -263,8 +254,10 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     column to unit Euclidean norm (the hypothesis class is unit-column
     dictionaries, so no volume normalization applies).  Degenerate
     dictionaries are repaired by reseeding a column from the samples, and
-    every repair is recorded.  A candidate whose codes fail numerically is
-    a rejected step: the step size halves and an event is recorded.
+    every repair is recorded.  Each step tries FIRST_TRIAL_STEP first and
+    halves it until the step descends, over at most 8 trials.  A candidate
+    whose codes fail numerically is a rejected step: the step size halves
+    and an event is recorded.
     """
     X = _clean_points(samples)
     d = samples.dim
@@ -305,7 +298,7 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
         if gnorm < 1e-14:
             break
         direction = grad * (np.linalg.norm(A) / gnorm)
-        eta, accepted = cfg.step_size, False
+        eta, accepted = FIRST_TRIAL_STEP, False
         for _ in range(8):
             cand = A - eta * direction
             cand /= np.linalg.norm(cand, axis=0, keepdims=True)
@@ -378,7 +371,7 @@ def fit_union_ellipsoids(
     (mean of min gauges, parts at det 1).  The objective is recorded after
     every round; a round that a reseed makes worse by more than 1e-12 ends
     the fit, which otherwise stops like fit_ellipsoid.  The final union is
-    volume normalized by quadrature when requested.
+    volume normalized by quadrature on `grid` (default make_grid(d)).
     Each part's eigenvalue cap keeps its semi-axes at or above the inner
     width floor after that normalization, whose scale is at least
     (L kappa_d)^(-1/d).  L = 1 delegates exactly to fit_ellipsoid.  Emptied
@@ -396,7 +389,7 @@ def fit_union_ellipsoids(
     rng = np.random.default_rng(cfg.seed)
     events = []
     # a union of L det-1 parts has volume at most L kappa_d
-    max_scale = (L * unit_ball_volume(d)) ** (1.0 / d) if cfg.volume_normalization else 1.0
+    max_scale = (L * unit_ball_volume(d)) ** (1.0 / d)
     eig_cap = 1.0 / (cfg.inner_width_floor * max_scale) ** 2
 
     def part(pts: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
@@ -438,9 +431,7 @@ def fit_union_ellipsoids(
         assign = G.argmin(axis=0)
 
     ellipsoids = [EllipsoidBody(_ellipsoid_from_m(M)) for M in parts]
-    scale = 1.0
-    if cfg.volume_normalization:
-        scale = volume(UnionBody(ellipsoids), grid) ** (-1.0 / d)
+    scale = volume(UnionBody(ellipsoids), grid) ** (-1.0 / d)
     body = UnionBody([EllipsoidBody(E.matrix * scale) for E in ellipsoids])
     trace = [t / scale for t in trace]
 

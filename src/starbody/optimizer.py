@@ -24,6 +24,7 @@ from starbody.geometry import (
     StarBody,
     body_to_dict,
     dual_mixed_volume,
+    facet_gauge,
     hull_facet_gradients,
     make_grid,
     radial_on_grid,
@@ -133,11 +134,7 @@ def check_convexity(
     vertices, _, y = hull_facet_gradients(points)
     # only points that are not hull vertices can lie inside the hull
     inner = np.delete(points, vertices, axis=0)
-    gauge = min(
-        np.min(np.max(inner[rows] @ y.T, axis=1), initial=1.0)
-        for rows in row_blocks(len(inner), len(y))
-    )
-    margin = min(0.0, float(gauge) - 1.0)
+    margin = min(0.0, float(np.min(facet_gauge(inner, y), initial=1.0)) - 1.0)
     return ConvexityReport(margin >= -CONVEXITY_MARGIN_TOL, margin, "boundary-hull")
 
 

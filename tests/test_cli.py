@@ -404,9 +404,9 @@ def test_config_skips_keys_of_other_commands(tmp_path):
 
 def test_config_unknown_key_exits_2(tmp_path, capsys):
     out = tmp_path / "p.csv"
-    for key in ("grid", "help", "config", "trials"):
+    for key, value in (("grid", 1), ("help", 1), ("config", 1), ("trials", 1), ("step", 0.5)):
         conf = tmp_path / f"{key}.json"
-        conf.write_text(json.dumps({key: 1}))
+        conf.write_text(json.dumps({key: value}))
         assert run("rho", "--density", "gaussian-identity-2d", "--out", out,
                    "--config", conf) == 2
         assert "unknown config key" in capsys.readouterr().err

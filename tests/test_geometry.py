@@ -131,6 +131,23 @@ def test_grid_validation():
         sb.SphericalGrid(2, np.array([[1.0, 0.0]]), np.array([-1.0]))
 
 
+def test_planar_cells_need_equally_spaced_angles():
+    # 48 of 64 nodes in the first quadrant, each weighted by the arc it owns;
+    # the angle cells would put 26.85% of the unit disk's Gibbs draws there
+    theta = np.concatenate(
+        [np.linspace(0, math.pi / 2, 48, endpoint=False), np.linspace(math.pi / 2, 2 * math.pi, 16, endpoint=False)]
+    )
+    weights = np.concatenate([np.full(48, math.pi / 96), np.full(16, 3 * math.pi / 32)])
+    grid = sb.SphericalGrid(2, np.column_stack([np.cos(theta), np.sin(theta)]), weights, {"kind": "explicit"})
+    with pytest.raises(ValueError, match="equally spaced"):
+        sb.sample_gibbs(sb.EllipsoidBody(np.eye(2)), 200_000, seed=1, grid=grid)
+    with pytest.raises(ValueError, match="equally spaced"):
+        sb.RadialGridBody(grid, np.ones(grid.n))
+    # quadrature reads no cells
+    assert sb.volume(sb.EllipsoidBody(np.eye(2)), grid) == pytest.approx(math.pi, rel=1e-12)
+    assert np.all(sb.rho_analytic(sb.GaussianDensity(np.eye(2)), grid).values > 0)
+
+
 # ---------------------------------------------------------------------------
 # Gauge and radial evaluation
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def test_fit_ellipsoid_first_order_certificate(d):
         rng = np.random.default_rng([d, seed])
         X = rng.normal(size=(5000, d)) @ rng.normal(size=(d, d))
         X *= 1.0 + rng.exponential(size=(5000, 1))
-        cfg = ln.FitConfig(volume_normalization=False)
-        A = ln.fit_ellipsoid(dn.SampleSet(d, X), cfg).body.matrix
+        A = ln.fit_ellipsoid(dn.SampleSet(d, X), ln.FitConfig()).body.matrix
         M = np.linalg.inv(A @ A)
         M /= np.linalg.det(M) ** (1.0 / d)
         S = (X / np.sqrt(np.einsum("ij,jk,ik->i", X, M, X))[:, None]).T @ X / len(X)
@@ -126,16 +125,79 @@ def test_fit_config_validation():
         ln.FitConfig(L=0)
 
 
-# ---------------------------------------------------------------------------
-# fit_dictionary
-# ---------------------------------------------------------------------------
-
-
 def one_sparse_samples(Q, m, seed):
     rng = np.random.default_rng(seed)
     idx = rng.integers(Q.shape[1], size=m)
     coeffs = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
     return dn.SampleSet(2, coeffs[:, None] * Q[:, idx].T)
+
+
+def near_line_samples(m, seed):
+    """Directions within 1e-9 rad of the x axis: the spread 2-column
+    dictionary is singular, so fit_dictionary reseeds a column from a
+    sample drawn with cfg.seed."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 1e-9, size=m)
+    r = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+    return dn.SampleSet(2, np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+
+
+FIT_DATA = {
+    # the floor 0.3 binds on the short axis (test_fit_ellipsoid_floor_clamp)
+    "elongated": lambda: gaussian_samples(np.diag([25.0, 0.01]), 20_000, 4),
+    "gmm": lambda: dn.sample_density(dn.two_gaussian_mixture(0.05), 4000, seed=12),
+    "axes": lambda: one_sparse_samples(np.eye(2), 200, 7),
+    "near-line": lambda: near_line_samples(40, 3),
+}
+
+
+# (family, field, two values, data, effect): "fit" when the body, the risk
+# trace or the events change, "events" when only the events do, None when
+# nothing does
+FIELD_CASES = [
+    ("ellipsoid", "max_iters", 1, 60, "elongated", "fit"),
+    ("ellipsoid", "inner_width_floor", 1e-3, 0.3, "elongated", "fit"),
+    ("ellipsoid", "seed", 0, 1, "elongated", None),
+    ("ellipsoid", "p", 2, 4, "elongated", None),
+    ("ellipsoid", "L", 2, 3, "elongated", None),
+    ("dictionary", "max_iters", 1, 8, "gmm", "fit"),
+    ("dictionary", "inner_width_floor", 1e-3, 0.8, "axes", "events"),
+    ("dictionary", "seed", 0, 1, "axes", None),
+    ("dictionary", "seed", 0, 1, "near-line", "fit"),
+    ("dictionary", "p", 2, 4, "axes", "fit"),
+    ("dictionary", "L", 2, 3, "axes", None),
+    ("union_ellipsoids", "max_iters", 1, 12, "gmm", "fit"),
+    ("union_ellipsoids", "inner_width_floor", 1e-3, 0.3, "elongated", "fit"),
+    ("union_ellipsoids", "seed", 12, 13, "gmm", "fit"),
+    ("union_ellipsoids", "L", 2, 3, "gmm", "fit"),
+    ("union_ellipsoids", "p", 2, 4, "gmm", None),
+]
+
+
+@pytest.mark.parametrize(
+    "family, field, a, b, data, effect",
+    FIELD_CASES,
+    ids=[f"{c[0]}-{c[1]}-{c[4]}" for c in FIELD_CASES],
+)
+def test_fit_config_field_applies_to_family(family, field, a, b, data, effect):
+    samples = FIT_DATA[data]()
+    base = {"family": family, "max_iters": 12, "p": 2, "L": 2}
+    outcomes = []
+    for value in (a, b):
+        report = ln.fit(samples, ln.FitConfig(**{**base, field: value}), grid=GRID)
+        outcomes.append((sb.body_to_json(report.body), report.risk_trace, report.events))
+    first, second = outcomes
+    if effect == "fit":
+        assert first != second
+    elif effect == "events":
+        assert first[:2] == second[:2] and first[2] != second[2]
+    else:
+        assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fit_dictionary
+# ---------------------------------------------------------------------------
 
 
 def test_fit_dictionary_planted_axes():
