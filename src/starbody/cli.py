@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -429,7 +430,7 @@ def _verify_noise(grid, seed: int):
         spec, bodies, [0.05, 0.1, 0.2, 0.5], noise, m=20_000, seed=seed, r=0.5, grid=grid
     )
     passed = all(report.within_bound)
-    return passed, {"suite": "noise", "passed": passed, "report": report.to_dict()}
+    return passed, {"suite": "noise", "passed": passed, "report": dataclasses.asdict(report)}
 
 
 def _random_rotation(rng) -> np.ndarray:

@@ -10,6 +10,14 @@ minimizes the expected gauge over all unit-volume star bodies.  This module
 computes rho_P analytically for supported density specs, estimates it from
 samples with a spherical kernel, and evaluates expected gauges
 (population and empirical risks).
+
+A star body K also induces the laws with density proportional to
+psi(||x||_K): GaugeInducedDensity, UniformOverBody (psi the indicator of
+t <= 1) and the Gibbs law exp(-||x||_K) of starbody.gibbs.  Their polar form
+is stated once, here: a table gives each profile's psi, its moments and its
+gauge law; sample_polar draws the direction with density proportional to
+rho_K^d and the gauge from that law; mc_polar_integral is the
+importance-sampled integral that checks a normalizer.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +52,9 @@ DEFAULT_BANDWIDTH = 0.15
 FLOAT_FMT = "%.17g"
 # importance samples of the mass check in GaugeInducedDensity
 MASS_CHECK_N = 50_000
+# first panel count and convergence tolerance of radial_moment_quadrature
+RAY_QUAD_PANELS = 8
+RAY_QUAD_REL_TOL = 1e-9
 
 
 class NonintegrableError(NumericalFailure):
@@ -54,12 +66,6 @@ def _validate_alpha(alpha: float) -> float:
     if not (ALPHA_MIN <= alpha <= ALPHA_MAX):
         raise ValueError(f"alpha must lie in [{ALPHA_MIN:g}, {ALPHA_MAX:g}]")
     return alpha
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +351,78 @@ class MixtureDensity(DensitySpec):
         return out[rng.permutation(n)]
 
 
+# ---------------------------------------------------------------------------
+# Gauge-induced laws psi(||x||_K): profiles, polar sampler, Monte Carlo mass
+# ---------------------------------------------------------------------------
+
+
+class _Profile(NamedTuple):
+    psi: Callable  # t -> psi(t)
+    moment: Callable  # s -> integral_0^inf t^(s-1) psi(t) dt
+    draw: Callable  # (d, n, rng) -> n gauges with density proportional to t^(d-1) psi(t)
+
+
+_PROFILES = {
+    "exp": _Profile(
+        psi=lambda t: np.exp(-t),
+        moment=math.gamma,
+        draw=lambda d, n, rng: rng.gamma(d, 1.0, size=n),
+    ),
+    "gauss": _Profile(
+        psi=lambda t: np.exp(-0.5 * t * t),
+        moment=lambda s: 2.0 ** (s / 2.0 - 1.0) * math.gamma(s / 2.0),
+        draw=lambda d, n, rng: np.linalg.norm(rng.standard_normal((n, d)), axis=1),
+    ),
+    "indicator": _Profile(
+        psi=lambda t: (t <= 1.0).astype(float),
+        moment=lambda s: 1.0 / s,
+        draw=lambda d, n, rng: rng.random(n) ** (1.0 / d),
+    ),
+}
+
+
+def sample_polar(
+    body: StarBody, grid: SphericalGrid, profile: str, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n draws, shape (n, d), with density proportional to psi(||x||_K).
+
+    The polar factorization of that law: the direction u has density
+    proportional to rho_K(u)^d and is drawn by grid.cells.sample from the
+    body's radii on the grid; the gauge t, independent of u, has density
+    proportional to t^(d-1) psi(t) and is drawn by the profile ("exp",
+    "gauss" or "indicator").  The point (t / ||u||_K) u has gauge t exactly,
+    so only the direction law depends on the grid: it is exact on a d = 3
+    product grid for the grid body of those radii, and elsewhere the cell
+    scheme's node-and-jitter approximation (SphericalGrid.cells).
+    """
+    u = grid.cells.sample(radial_on_grid(body, grid), n, rng)
+    t = _PROFILES[profile].draw(body.dim, n, rng)
+    return (t / body.gauge_many(u))[:, None] * u
+
+
+def mc_polar_integral(
+    log_f, body: StarBody, grid: SphericalGrid, n: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """Importance-sampled integral over R^d of f and its standard error.
+
+    The proposal is x = r u with u uniform on the sphere and
+    r ~ Gamma(d, rho_max), rho_max the body's largest radial value on the
+    grid, so q(x) is proportional to exp(-|x| / rho_max).  log_f(u, r) is
+    log f(r u); the weights are f / q = exp(log(1 / q) + log_f), and the
+    mean weight and its standard error are returned.
+    """
+    d = body.dim
+    rho_max = float(radial_on_grid(body, grid).max())
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = rng.gamma(d, rho_max, size=n)
+    log_const = math.log(sphere_surface_area(d)) + math.lgamma(d) + d * math.log(rho_max)
+    w = np.exp(log_const + r / rho_max + log_f(u, r))
+    return float(w.mean()), float(w.std() / math.sqrt(n))
+
+
 class UniformOverBody(DensitySpec):
-    """Uniform distribution over a star body."""
+    """Uniform distribution over a star body: the "indicator" profile's law."""
 
     def __init__(self, body: StarBody, grid: SphericalGrid | None = None) -> None:
         self.dim = body.dim
@@ -356,37 +432,10 @@ class UniformOverBody(DensitySpec):
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         g = self.body.gauge_many(np.atleast_2d(points))
-        return np.where(g <= 1.0, 1.0 / self.volume, 0.0)
+        return _PROFILES["indicator"].psi(g) / self.volume
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dim
-        dirs = self.grid.cells.sample(radial_on_grid(self.body, self.grid) ** d, n, rng)
-        r = self.body.radial_many(dirs) * rng.random(n) ** (1.0 / d)
-        return r[:, None] * dirs
-
-
-_PROFILE_NAMES = ("exp", "gauss", "indicator")
-
-
-def _profile_moment(profile: str, s: float) -> float:
-    """integral_0^inf t^(s-1) psi(t) dt for the supported profiles."""
-    if profile == "exp":
-        return math.gamma(s)
-    if profile == "gauss":
-        return 2.0 ** (s / 2.0 - 1.0) * math.gamma(s / 2.0)
-    if profile == "indicator":
-        return 1.0 / s
-    raise ValueError(f"unsupported gauge profile: {profile!r}")
-
-
-def _profile_fn(profile: str, t: np.ndarray) -> np.ndarray:
-    if profile == "exp":
-        return np.exp(-t)
-    if profile == "gauss":
-        return np.exp(-0.5 * t * t)
-    if profile == "indicator":
-        return (t <= 1.0).astype(float)
-    raise ValueError(f"unsupported gauge profile: {profile!r}")
+        return sample_polar(self.body, self.grid, "indicator", n, rng)
 
 
 class GaugeInducedDensity(DensitySpec):
@@ -394,8 +443,9 @@ class GaugeInducedDensity(DensitySpec):
 
     Supported profiles psi: "exp" (e^-t), "gauss" (e^(-t^2/2)), "indicator"
     (t <= 1).  The normalization is vol(L) * d * integral t^(d-1) psi(t) dt;
-    construction cross-checks it by importance-sampled Monte Carlo and
-    rejects discrepancies beyond 2%.
+    construction cross-checks it by importance-sampled Monte Carlo
+    (mc_polar_integral) and rejects discrepancies beyond 2%.  Draws come
+    from sample_polar.
     """
 
     def __init__(
@@ -404,23 +454,24 @@ class GaugeInducedDensity(DensitySpec):
         profile: str = "exp",
         grid: SphericalGrid | None = None,
     ) -> None:
-        if profile not in _PROFILE_NAMES:
-            raise ValueError(f"profile must be one of {_PROFILE_NAMES}")
+        if profile not in _PROFILES:
+            raise ValueError(f"profile must be one of {tuple(_PROFILES)}")
         self.dim = body.dim
         self.body = body
         self.profile = profile
         self.grid = grid if grid is not None else make_grid(body.dim)
         self.body_volume = volume(body, self.grid)
         d = self.dim
-        self.normalization = self.body_volume * d * _profile_moment(profile, d)
+        self.normalization = self.body_volume * d * _PROFILES[profile].moment(d)
         self._validate_mass(MASS_CHECK_N)
 
     def _validate_mass(self, n: int) -> None:
+        def log_pdf(u, r):
+            with np.errstate(divide="ignore"):  # log 0 = -inf is a zero weight
+                return np.log(self.pdf(r[:, None] * u))
+
         rng = np.random.default_rng(20_240_817)
-        u, r, log_inv_q = _polar_proposal(self.body, self.grid, n, rng)
-        w = self.pdf(r[:, None] * u) * np.exp(log_inv_q)
-        mass = float(np.mean(w))
-        stderr = float(np.std(w) / math.sqrt(n))
+        mass, stderr = mc_polar_integral(log_pdf, self.body, self.grid, n, rng)
         if abs(mass - 1.0) > max(0.02, 4.0 * stderr):
             raise NumericalFailure(
                 f"gauge-induced density mass check failed: MC mass {mass:.4f}"
@@ -428,35 +479,10 @@ class GaugeInducedDensity(DensitySpec):
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         g = self.body.gauge_many(np.atleast_2d(points))
-        return _profile_fn(self.profile, g) / self.normalization
+        return _PROFILES[self.profile].psi(g) / self.normalization
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dim
-        dirs = self.grid.cells.sample(radial_on_grid(self.body, self.grid) ** d, n, rng)
-        rho = self.body.radial_many(dirs)
-        if self.profile == "exp":
-            t = rng.gamma(shape=d, scale=1.0, size=n)
-        elif self.profile == "gauss":
-            t = np.linalg.norm(rng.standard_normal((n, d)), axis=1)
-        else:  # indicator: uniform over the body
-            t = rng.random(n) ** (1.0 / d)
-        return (t * rho)[:, None] * dirs
-
-
-def _polar_proposal(body: StarBody, grid: SphericalGrid, n: int, rng: np.random.Generator):
-    """Importance proposal x = r u for integrals over R^d.
-
-    u is uniform on the sphere and r ~ Gamma(d, rho_max), with rho_max the
-    largest radial value on the grid, so q(x) is proportional to
-    exp(-|x| / rho_max).  Returns u, r and log(1 / q(r u)).
-    """
-    d = body.dim
-    rho_max = float(radial_on_grid(body, grid).max())
-    u = rng.standard_normal((n, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = rng.gamma(d, rho_max, size=n)
-    log_const = math.log(sphere_surface_area(d)) + math.lgamma(d) + d * math.log(rho_max)
-    return u, r, log_const + r / rho_max
+        return sample_polar(self.body, self.grid, self.profile, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +494,6 @@ def _leggauss(npts: int):
     return np.polynomial.legendre.leggauss(npts)
 
 
-def quad_radial(fn, r_max: float, rel_tol: float, base_panels: int = 8):
-    """Composite Gauss-Legendre integral of fn on [0, r_max] with doubling.
-
-    Panels are doubled until successive estimates agree to rel_tol; failure
-    to converge raises NonintegrableError.
-    """
-    t, w = _leggauss(24)
-    prev = None
-    panels = base_panels
-    for _ in range(5):
-        edges = np.linspace(0.0, r_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        pts = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-        vals = fn(pts)
-        if not np.all(np.isfinite(vals)):
-            raise NonintegrableError("radial integrand is not finite")
-        est = float(np.sum(vals.reshape(panels, -1) * w[None, :] * half[:, None]))
-        if prev is not None and abs(est - prev) <= rel_tol * max(abs(est), 1e-300):
-            return est
-        prev = est
-        panels *= 2
-    raise NonintegrableError("radial quadrature failed to converge")
-
-
 def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndarray:
     """Per-node values of integral_0^inf r^(s-1) p(r u) dr."""
     if isinstance(spec, GaussianDensity):
@@ -500,7 +501,7 @@ def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndar
             raise ValueError("radial statistics require a centered Gaussian")
         q = np.sqrt(np.einsum("ij,jk,ik->i", grid.nodes, spec._cov_inv, grid.nodes))
         lognorm = -0.5 * (spec.dim * math.log(2 * math.pi) + spec._logdet)
-        return math.exp(lognorm) * _profile_moment("gauss", s) * q ** (-s)
+        return math.exp(lognorm) * _PROFILES["gauss"].moment(s) * q ** (-s)
     if isinstance(spec, MixtureDensity):
         return sum(
             w * _radial_moments(c, grid, s)
@@ -511,7 +512,7 @@ def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndar
         return rho**s / (s * spec.volume)
     if isinstance(spec, GaugeInducedDensity):
         rho = radial_on_grid(spec.body, grid)
-        return rho**s * _profile_moment(spec.profile, s) / spec.normalization
+        return rho**s * _PROFILES[spec.profile].moment(s) / spec.normalization
     raise TypeError(f"unsupported density spec: {type(spec).__name__}")
 
 
@@ -541,15 +542,32 @@ def rho_analytic(spec: DensitySpec, grid: SphericalGrid, alpha: float = 1.0) -> 
     return RadialProfile(grid, moments ** (1.0 / s), alpha)
 
 
-def radial_moment_quadrature(
-    pdf_ray, s: float, r_max: float, rel_tol: float = 1e-9
-) -> float:
+def radial_moment_quadrature(pdf_ray, s: float, r_max: float) -> float:
     """Generic ray integral integral_0^r_max r^(s-1) pdf_ray(r) dr.
 
     Independent path for cross-checking the closed-form moment routes;
-    pdf_ray must accept a vector of radii.
+    pdf_ray must accept a vector of radii.  A composite 24-point
+    Gauss-Legendre rule on RAY_QUAD_PANELS panels, doubled until successive
+    estimates agree to RAY_QUAD_REL_TOL; failure to converge within four
+    doublings raises NonintegrableError.
     """
-    return quad_radial(lambda r: r ** (s - 1.0) * np.asarray(pdf_ray(r)), r_max, rel_tol)
+    t, w = _leggauss(24)
+    prev = None
+    panels = RAY_QUAD_PANELS
+    for _ in range(5):
+        edges = np.linspace(0.0, r_max, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        pts = (mid[:, None] + half[:, None] * t[None, :]).ravel()
+        vals = pts ** (s - 1.0) * np.asarray(pdf_ray(pts))
+        if not np.all(np.isfinite(vals)):
+            raise NonintegrableError("radial integrand is not finite")
+        est = float(np.sum(vals.reshape(panels, -1) * w[None, :] * half[:, None]))
+        if prev is not None and abs(est - prev) <= RAY_QUAD_REL_TOL * max(abs(est), 1e-300):
+            return est
+        prev = est
+        panels *= 2
+    raise NonintegrableError("radial quadrature failed to converge")
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +677,7 @@ def sample_density(spec: DensitySpec, n: int, seed=0) -> SampleSet:
     """n i.i.d. draws from a density spec as a SampleSet."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     pts = spec.sample(n, rng)
     meta = {"spec": type(spec).__name__}
     if not isinstance(seed, np.random.Generator):
@@ -713,10 +731,11 @@ class AnnularRegion:
         return RadialProfile(self.grid, moments ** (1.0 / s), alpha)
 
     def sample(self, n: int, seed=0) -> SampleSet:
-        rng = _as_rng(seed)
+        rng = np.random.default_rng(seed)
         d = self.dim
+        # cells.sample weighs a node by radius^d, here the shell's ray mass
         shell = self.outer.radii**d - self.inner.radii**d
-        dirs = self.grid.cells.sample(shell, n, rng)
+        dirs = self.grid.cells.sample(shell ** (1.0 / d), n, rng)
         lo = self.inner.radial_many(dirs) ** d
         hi = self.outer.radial_many(dirs) ** d
         r = (lo + rng.random(n) * (hi - lo)) ** (1.0 / d)

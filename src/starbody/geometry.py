@@ -192,7 +192,7 @@ class _AngleCells:
     """Angle cells of a planar grid whose nodes may come in any order.
 
     A direction reads the two nodes around its angle, linearly in angle.
-    The sampler spreads each node drawn with weight w_j mass_j uniformly
+    The sampler spreads each node drawn with weight w_j r_j^2 uniformly
     over the angle step centred on it.  Both presume equally spaced angles,
     so a grid whose sorted angles stray from 2 pi j / n by more than 1e-9
     raises ValueError.
@@ -221,8 +221,8 @@ class _AngleCells:
         r = values[self.order]
         return (1.0 - frac) * r[j0] + frac * r[j1]
 
-    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = _pick_nodes(self.weights, mass, n, rng)
+    def sample(self, radii: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        idx = _pick_nodes(self.weights, radii**2, n, rng)
         step = 2.0 * math.pi / len(self.angles)
         theta = self.angles[idx] + (rng.random(n) - 0.5) * step
         return np.column_stack([np.cos(theta), np.sin(theta)])
@@ -297,9 +297,9 @@ class _RingCells:
     def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         return self._blend(values, *self.locate(dirs))
 
-    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, radii: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """Directions whose density is exactly proportional to rho~^3, where
-        rho~ interpolates the radii mass^(1/3).
+        rho~ interpolates the node radii.
 
         Rejection from a piecewise-uniform envelope: a cell is picked with
         probability proportional to dt dphi M^3, M its largest corner
@@ -308,7 +308,6 @@ class _RingCells:
         since rho~ peaks at a corner of its cell.  Rounds are sized by the
         expected acceptance, sum_j w_j rho_j^3 over the envelope's mass.
         """
-        radii = np.cbrt(mass)
         az = self.azimuths
         level = np.repeat(np.arange(len(self.levels) - 1), az)
         corner = level * (az + 1) + np.tile(np.arange(az), len(self.levels) - 1)
@@ -337,7 +336,7 @@ class _NearestNodes:
     """The 8 nearest nodes of a direction, by a k-d tree built on first use.
 
     Values are the inverse-square-distance average over them, exact at a
-    node.  The sampler moves each node drawn with weight w_j mass_j by a
+    node.  The sampler moves each node drawn with weight w_j r_j^d by a
     Gaussian of half the node spacing, projected back onto the sphere, so
     it smears mass into neighbouring cells.
     """
@@ -375,9 +374,9 @@ class _NearestNodes:
                 block[rest] = np.sum(w * values[idx[rest]], axis=1) / np.sum(w, axis=1)
         return out
 
-    def sample(self, mass: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        idx = _pick_nodes(self.weights, mass, n, rng)
+    def sample(self, radii: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         n_nodes, d = self.nodes.shape
+        idx = _pick_nodes(self.weights, radii**d, n, rng)
         spread = math.sqrt(sphere_surface_area(d) / n_nodes) / 2.0
         jittered = self.nodes[idx] + spread * rng.standard_normal((n, d))
         jittered /= np.linalg.norm(jittered, axis=1, keepdims=True)
@@ -437,9 +436,10 @@ class SphericalGrid:
         Cell arithmetic on a lobatto3d product grid, angle cells in d = 2,
         the 8 nearest nodes otherwise.  Each scheme has `width` and
         stencil(dirs), the (rows, width) nodes a unit direction's
-        interpolant reads; interpolate(values, dirs); and sample(mass, n,
-        rng), directions with density proportional to a per-node mass (a
-        body's rho^d gives its uniform, gauge-induced and Gibbs laws).
+        interpolant reads; interpolate(values, dirs); and sample(radii, n,
+        rng), directions with density proportional to rho^d for the node
+        radii rho (a body's radii give the direction law of its uniform,
+        gauge-induced and Gibbs laws, density.sample_polar).
         """
         if self.descriptor.get("kind") == "lobatto3d":
             return _RingCells(self)

@@ -5,7 +5,9 @@ layer-cake computation gives Z = vol(K) * Gamma(d/alpha + 1) exactly; for
 alpha = 1 this is the familiar vol(K) * Gamma(d+1).  Values alpha != 1 use
 the same formula but are an unvalidated extension, and the sampler is
 restricted to alpha = 1, where the polar factorization makes the gauge of a
-draw exactly Gamma(d, 1).
+draw exactly Gamma(d, 1).  The sampler and the Monte Carlo normalizer check
+are density.sample_polar and density.mc_polar_integral with the "exp"
+profile.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ import numpy as np
 
 from starbody.density import (
     SampleSet,
-    _as_rng,
-    _polar_proposal,
     _validate_alpha,
     expected_gauge,
+    mc_polar_integral,
+    sample_polar,
 )
 from starbody.geometry import (
     SphericalGrid,
@@ -30,7 +32,6 @@ from starbody.geometry import (
     grid_from_descriptor,
     grid_to_descriptor,
     make_grid,
-    radial_on_grid,
     volume,
 )
 
@@ -45,18 +46,19 @@ def log_normalizer(body: StarBody, grid: SphericalGrid, alpha: float = 1.0) -> f
 def mc_normalizer_estimate(body: StarBody, grid: SphericalGrid, n: int = 200_000, seed=0):
     """Monte Carlo estimate of Z = integral of exp(-||x||_K), with stderr.
 
-    Draws uniform directions and Gamma(d, rho_max) radii, where rho_max is
-    the largest radial value on the grid, and weights each draw by
-    integrand / proposal.  The estimate is unbiased with no truncation.
-    The weights are bounded only where rho_max really bounds rho; a body
-    whose radial function peaks between grid nodes gives heavier-tailed
-    weights, and the returned stderr is then less reliable.
+    density.mc_polar_integral of exp(-r ||u||_K): uniform directions and
+    Gamma(d, rho_max) radii, where rho_max is the largest radial value on
+    the grid, each draw weighted by integrand / proposal.  The estimate is
+    unbiased with no truncation.  The weights are bounded only where rho_max
+    really bounds rho; a body whose radial function peaks between grid
+    nodes gives heavier-tailed weights, and the returned stderr is then
+    less reliable.
     """
     if n < 1:
         raise ValueError("need at least one Monte Carlo sample")
-    u, r, log_inv_q = _polar_proposal(body, grid, n, _as_rng(seed))
-    w = np.exp(log_inv_q - r * body.gauge_many(u))
-    return float(w.mean()), float(w.std() / math.sqrt(n))
+    return mc_polar_integral(
+        lambda u, r: -(r * body.gauge_many(u)), body, grid, n, np.random.default_rng(seed)
+    )
 
 
 def nll(body: StarBody, data, grid: SphericalGrid, alpha: float = 1.0) -> float:
@@ -92,29 +94,25 @@ def m_projection(bodies, data, grid: SphericalGrid, alpha: float = 1.0):
 
 
 def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = None) -> SampleSet:
-    """n draws from p_K (alpha = 1) by polar factorization.
+    """n draws from p_K (alpha = 1): density.sample_polar, profile "exp".
 
-    The gauge law is exact: the radius given the realized direction u is
-    Gamma(d, rho(u)), so the gauge of every draw is Gamma(d, 1).  The
-    direction law is grid.cells.sample with the body's rho^d on the grid
-    as the node mass.  On a d = 3 product grid it is exact for the
-    RadialGridBody interpolant of those radial values (density proportional
-    to its rho^3, by rejection from the grid cells), so a grid body on that
-    grid is sampled exactly.  Elsewhere nodes are drawn with weight
-    w_j rho_j^d and jittered within their cell: in d = 2 the error is the
-    cell-level discretization; in d >= 4 the Gaussian jitter also smears
-    mass into neighbouring cells, so moments are off by a few percent
-    (E[x x^T] against (d + 1) A A^T for the ellipsoid diag(2, ..., 0.5) on
-    1024 nodes: about 5% in d = 4).
+    The gauge law is exact: the gauge of every draw is Gamma(d, 1), and the
+    radius given the realized direction u is Gamma(d, rho(u)).  The
+    direction law is grid.cells.sample with the body's radii on the grid.
+    On a d = 3 product grid it is exact for the RadialGridBody interpolant
+    of those radii (density proportional to its rho^3, by rejection from
+    the grid cells), so a grid body on that grid is sampled exactly.
+    Elsewhere nodes are drawn with weight w_j rho_j^d and jittered within
+    their cell: in d = 2 the error is the cell-level discretization; in
+    d >= 4 the Gaussian jitter also smears mass into neighbouring cells, so
+    moments are off by a few percent (E[x x^T] against (d + 1) A A^T for
+    the ellipsoid diag(2, ..., 0.5) on 1024 nodes: about 5% in d = 4).
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if grid is None:
         grid = make_grid(body.dim)
-    rng = _as_rng(seed)
-    u = grid.cells.sample(radial_on_grid(body, grid) ** body.dim, n, rng)
-    t = rng.gamma(body.dim, 1.0, size=n)
-    pts = (t / body.gauge_many(u))[:, None] * u
+    pts = sample_polar(body, grid, "exp", n, np.random.default_rng(seed))
     meta = {"spec": "gibbs"}
     if not isinstance(seed, np.random.Generator):
         meta["seed"] = seed

@@ -252,12 +252,14 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     subgradient y from the body's facet description; the dictionary step
     descends along the averaged sensitivity -y z^T, then renormalizes every
     column to unit Euclidean norm (the hypothesis class is unit-column
-    dictionaries, so no volume normalization applies).  Degenerate
-    dictionaries are repaired by reseeding a column from the samples, and
-    every repair is recorded.  Each step tries FIRST_TRIAL_STEP first and
-    halves it until the step descends, over at most 8 trials.  A candidate
-    whose codes fail numerically is a rejected step: the step size halves
-    and an event is recorded.
+    dictionaries, so no volume normalization applies).  A degenerate
+    dictionary is repaired by reseeding from the samples the later column
+    of its most nearly parallel pair, at most p times; every reseed is
+    recorded, and so is a dictionary still degenerate after them.  Each
+    step tries FIRST_TRIAL_STEP first and halves it until the step
+    descends, over at most 8 trials.  A candidate whose codes fail
+    numerically is a rejected step: the step size halves and an event is
+    recorded.
     """
     X = _clean_points(samples)
     d = samples.dim
@@ -274,17 +276,23 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     probe = make_grid(d, 256)
     events = []
 
+    def degenerate(A: np.ndarray) -> bool:
+        width = np.abs(probe.nodes @ A).max(axis=1).min()
+        return width <= 1e-6 or np.linalg.svd(A, compute_uv=False)[-1] <= 1e-8
+
     def repair(A: np.ndarray) -> np.ndarray:
-        # replace the weakest column until the polytope has full width
+        # every column has unit length, so |a_i^T a_j| is a pair's |cosine|
         for _ in range(p):
-            width = np.abs(probe.nodes @ A).max(axis=1).min()
-            if width > 1e-6 and np.linalg.svd(A, compute_uv=False)[-1] > 1e-8:
+            if not degenerate(A):
                 return A
-            j = int(np.argmin(np.linalg.norm(A, axis=0)))
+            coherence = np.triu(np.abs(A.T @ A), k=1)
+            j = int(np.unravel_index(np.argmax(coherence), coherence.shape)[1])
             u = X[rng.integers(len(X))]
             A = A.copy()
             A[:, j] = u / np.linalg.norm(u)
             events.append(f"reseeded degenerate column {j}")
+        if degenerate(A):
+            events.append(f"dictionary still degenerate after {p} reseeds")
         return A
 
     A = repair(_spread_columns(X, p, rng))
@@ -481,15 +489,6 @@ class ConvergenceReport:
     population_body: StarBody
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "m_schedule": list(self.m_schedule),
-            "distances": list(self.distances),
-            "final_risks": [r.final_risk for r in self.reports],
-            "population_body": body_to_dict(self.population_body),
-            "seed": self.seed,
-        }
-
 
 def convergence_experiment(
     spec: DensitySpec,
@@ -574,18 +573,6 @@ class NoiseReport:
     m: int
     noise_norm_mean: float
 
-    def to_dict(self) -> dict:
-        return {
-            "sigmas": list(self.sigmas),
-            "sup_deviations": list(self.sup_deviations),
-            "bounds": list(self.bounds),
-            "slacks": list(self.slacks),
-            "within_bound": list(self.within_bound),
-            "r": self.r,
-            "m": self.m,
-            "noise_norm_mean": self.noise_norm_mean,
-        }
-
 
 def noise_robustness(
     spec: DensitySpec,
@@ -658,23 +645,6 @@ class GenGapReport:
     gamma: float
     trials: int
     family: str
-
-    @property
-    def slope_in_range(self) -> bool:
-        return -0.65 <= self.slope <= -0.35
-
-    def to_dict(self) -> dict:
-        return {
-            "m_list": list(self.m_list),
-            "mean_gaps": list(self.mean_gaps),
-            "quantile_gaps": list(self.quantile_gaps),
-            "gaps": [list(g) for g in self.gaps],
-            "slope": self.slope,
-            "slope_in_range": self.slope_in_range,
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "family": self.family,
-        }
 
 
 def generalization_gap(

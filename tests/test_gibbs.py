@@ -248,6 +248,25 @@ def test_sampler_determinism_and_validation():
         gb.sample_gibbs(body, 0, grid=GRID)
 
 
+@pytest.mark.parametrize("law", ["gibbs", "uniform"])
+@pytest.mark.parametrize("kind", ["ellipsoid", "grid"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gauge_induced_laws_share_one_polar_sampler(d, kind, law):
+    # p_K is the "exp" profile's law and the uniform law the "indicator"
+    # profile's, so equal Generators give the same bytes through either class
+    grid = sb.make_grid(d, 1024)
+    body = sb.EllipsoidBody(np.diag(np.linspace(1.5, 0.75, d)))
+    if kind == "grid":
+        body = sb.RadialGridBody(grid, radial_on_grid(body, grid))
+    if law == "gibbs":
+        a = dn.GaugeInducedDensity(body, "exp", grid).sample(2000, np.random.default_rng(7))
+        b = gb.sample_gibbs(body, 2000, seed=np.random.default_rng(7), grid=grid).points
+    else:
+        a = dn.UniformOverBody(body, grid).sample(2000, np.random.default_rng(7))
+        b = dn.GaugeInducedDensity(body, "indicator", grid).sample(2000, np.random.default_rng(7))
+    assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # GibbsDensity object
 # ---------------------------------------------------------------------------

@@ -132,12 +132,12 @@ def one_sparse_samples(Q, m, seed):
     return dn.SampleSet(2, coeffs[:, None] * Q[:, idx].T)
 
 
-def near_line_samples(m, seed):
-    """Directions within 1e-9 rad of the x axis: the spread 2-column
+def near_line_samples(m, seed, spread=1e-9):
+    """Directions within `spread` rad of the x axis: the spread 2-column
     dictionary is singular, so fit_dictionary reseeds a column from a
     sample drawn with cfg.seed."""
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 1e-9, size=m)
+    theta = rng.uniform(0.0, spread, size=m)
     r = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
     return dn.SampleSet(2, np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
 
@@ -263,6 +263,23 @@ def test_fit_dictionary_rejects_failed_candidate(monkeypatch):
     trace = np.array(report.risk_trace)
     assert len(trace) > 1
     assert np.all(np.diff(trace) <= 0)
+
+
+@pytest.mark.parametrize("spread", [1e-9, 1e-8, 1e-7])
+def test_fit_dictionary_reseeds_the_later_of_the_most_parallel_pair(spread):
+    # both spread columns lie within `spread` of the x axis; which of the two
+    # is reseeded must not hang on the rounding of their unit norms
+    samples = near_line_samples(40, 3, spread)
+    report = ln.fit_dictionary(samples, ln.FitConfig(family="dictionary", p=2, seed=0))
+    assert report.events[0] == "reseeded degenerate column 1"
+
+
+def test_fit_dictionary_records_a_failed_repair():
+    # every sample lies within 1e-7 rad of one line, so no reseed from the
+    # samples can give the 2-column dictionary full width
+    samples = near_line_samples(40, 3, 1e-7)
+    report = ln.fit_dictionary(samples, ln.FitConfig(family="dictionary", p=2, seed=1))
+    assert "dictionary still degenerate after 2 reseeds" in report.events
 
 
 # ---------------------------------------------------------------------------
