@@ -14,7 +14,7 @@ geometry
 density
     Density specs, sample sets, radial statistics, expected gauge.
 optimizer
-    Optimal bodies, convexity diagnostics, support-body estimation.
+    Optimal bodies, convexity diagnostics, the mixture convexity transition.
 gibbs
     Gauge-induced Gibbs densities: normalizers, likelihoods, sampling.
 learn
@@ -40,11 +40,8 @@ from starbody.geometry import (
     body_to_json,
     dilate,
     dual_mixed_volume,
-    harmonic_blaschke,
     make_grid,
-    outer_radius_bound,
     radial_distance,
-    star_union,
     volume,
     volume_normalize,
 )
@@ -61,10 +58,8 @@ from starbody.optimizer import (
     check_convexity,
     critical_epsilon_gmm,
     optimal_body,
-    support_body,
 )
 from starbody.gibbs import (
-    GibbsDensity,
     gauge_ks_statistic,
     log_normalizer,
     m_projection,
@@ -85,7 +80,6 @@ from starbody.learn import (
     fit_ellipsoid,
     fit_union_ellipsoids,
     generalization_gap,
-    lln_probe,
     noise_robustness,
 )
 

@@ -147,7 +147,7 @@ def _parse_density(name: str, grid_n: int):
         )
     path = Path(name)
     if path.suffix == ".json":
-        return dn.density_from_dict(json.loads(path.read_text()))
+        return dn.density_from_dict(json.loads(path.read_text()), grid_n)
     raise ValueError(
         f"unknown density {name!r}; use one of {DENSITY_SHORTHANDS} or a JSON file"
     )

@@ -37,12 +37,10 @@ from starbody.geometry import (
     SphericalGrid,
     StarBody,
     body_from_dict,
-    body_to_dict,
     make_grid,
     radial_on_grid,
     row_blocks,
     sphere_surface_area,
-    uniform_circle_grid,
     volume,
 )
 
@@ -244,31 +242,6 @@ class RadialProfile:
         lead = self.grid.angles() if self.grid.dim == 2 else np.arange(self.grid.n)
         write_csv(path, np.column_stack([lead, self.grid.nodes, self.values]))
 
-    @classmethod
-    def from_csv(cls, path, grid: SphericalGrid | None = None, alpha: float = 1.0):
-        arr = read_csv(path)[0]
-        if arr.shape[0] == 0:
-            raise ValueError("no profile rows found")
-        dim = arr.shape[1] - 2
-        if dim < 2:
-            raise ValueError("profile rows need an index, d node components, a value")
-        nodes = arr[:, 1 : 1 + dim]
-        values = arr[:, -1]
-        if grid is None and dim == 3 and arr.shape[0] >= 4:
-            # the rows of a profile on make_grid(3, n) get its product weights back
-            product = make_grid(3, arr.shape[0])
-            if product.n == arr.shape[0] and np.allclose(product.nodes, nodes, atol=1e-9):
-                grid = product
-        if grid is None:
-            if dim == 2:
-                grid = uniform_circle_grid(arr.shape[0])
-            else:
-                weights = np.full(arr.shape[0], sphere_surface_area(dim) / arr.shape[0])
-                grid = SphericalGrid(dim, nodes, weights, {"kind": "explicit"})
-        if not np.allclose(grid.nodes, nodes, atol=1e-9):
-            raise ValueError("profile nodes do not match the provided grid")
-        return cls(grid, values, alpha)
-
 
 # ---------------------------------------------------------------------------
 # Density specifications
@@ -276,7 +249,14 @@ class RadialProfile:
 
 
 class DensitySpec:
-    """Analytic density descriptor with a pdf and an exact sampler."""
+    """Analytic density descriptor with a pdf and a sampler.
+
+    A GaussianDensity is sampled exactly, a MixtureDensity as exactly as its
+    components.  UniformOverBody and GaugeInducedDensity draw their gauge
+    law exactly, but their direction law comes from the grid interpolant
+    (sample_polar): it is exact only for a grid body on the d = 3 product
+    grid.
+    """
 
     dim: int
 
@@ -747,32 +727,12 @@ class AnnularRegion:
 # ---------------------------------------------------------------------------
 
 
-def density_to_dict(spec: DensitySpec) -> dict:
-    if isinstance(spec, GaussianDensity):
-        return {
-            "type": "gaussian",
-            "mean": spec.mean.tolist(),
-            "covariance": spec.covariance.tolist(),
-        }
-    if isinstance(spec, MixtureDensity):
-        return {
-            "type": "mixture",
-            "weights": spec.weights.tolist(),
-            "components": [density_to_dict(c) for c in spec.components],
-        }
-    if isinstance(spec, UniformOverBody):
-        return {"type": "uniform_over_body", "body": body_to_dict(spec.body)}
-    if isinstance(spec, GaugeInducedDensity):
-        return {
-            "type": "gauge_induced",
-            "body": body_to_dict(spec.body),
-            "profile": spec.profile,
-            "normalization": spec.normalization,
-        }
-    raise TypeError(f"unknown density spec: {type(spec).__name__}")
+def density_from_dict(data: dict, grid_n: int) -> DensitySpec:
+    """The density spec a JSON object describes.
 
-
-def density_from_dict(data: dict) -> DensitySpec:
+    Uniform and gauge-induced parts, also inside a mixture, get their body's
+    make_grid(d, grid_n), the grid their volume and sampler use.
+    """
     kind = data.get("type")
     if kind == "gaussian":
         return GaussianDensity(
@@ -782,12 +742,14 @@ def density_from_dict(data: dict) -> DensitySpec:
     if kind == "mixture":
         return MixtureDensity(
             np.asarray(data["weights"], dtype=float),
-            [density_from_dict(c) for c in data["components"]],
+            [density_from_dict(c, grid_n) for c in data["components"]],
         )
     if kind == "uniform_over_body":
-        return UniformOverBody(body_from_dict(data["body"]))
+        body = body_from_dict(data["body"])
+        return UniformOverBody(body, make_grid(body.dim, grid_n))
     if kind == "gauge_induced":
-        return GaugeInducedDensity(body_from_dict(data["body"]), data["profile"])
+        body = body_from_dict(data["body"])
+        return GaugeInducedDensity(body, data["profile"], make_grid(body.dim, grid_n))
     raise ValueError(f"unknown density type: {kind!r}")
 
 

@@ -4,8 +4,7 @@ A star body is a compact set, star-shaped about the origin, whose radial
 function is positive and continuous.  This module provides the concrete
 representations (radial grids, ellipsoids, linear images of the l1 ball,
 unions, dilates), gauge and radial evaluation, spherical quadrature grids,
-volumes and dual mixed volumes, the radial sup-metric, and the harmonic
-Blaschke combination.
+volumes and dual mixed volumes, and the radial sup-metric.
 
 All grids and bodies are immutable after construction, and every operation
 is pure and thread-safe: a grid caches its node lookup (SphericalGrid.cells)
@@ -198,8 +197,6 @@ class _AngleCells:
     raises ValueError.
     """
 
-    width = 2
-
     def __init__(self, grid: SphericalGrid) -> None:
         self.angles = grid.angles()
         self.weights = grid.weights
@@ -208,18 +205,10 @@ class _AngleCells:
         if np.max(np.abs(self.angles[self.order] - step * np.arange(grid.n))) > 1e-9:
             raise ValueError("dim-2 grid cells need equally spaced angles")
 
-    def _slots(self, dirs: np.ndarray):
-        j0, frac = _circle_cells(dirs, len(self.order))
-        return j0, (j0 + 1) % len(self.order), frac
-
-    def stencil(self, dirs: np.ndarray) -> np.ndarray:
-        j0, j1, _ = self._slots(dirs)
-        return self.order[np.column_stack([j0, j1])]
-
     def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        j0, j1, frac = self._slots(dirs)
+        j0, frac = _circle_cells(dirs, len(self.order))
         r = values[self.order]
-        return (1.0 - frac) * r[j0] + frac * r[j1]
+        return (1.0 - frac) * r[j0] + frac * r[(j0 + 1) % len(self.order)]
 
     def sample(self, radii: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = _pick_nodes(self.weights, radii**2, n, rng)
@@ -239,7 +228,6 @@ class _RingCells:
     cell.
     """
 
-    width = 4
     # a direction this close to an azimuth line, in cell widths, lies on it,
     # so that the nodes themselves interpolate to their own values exactly
     AZIMUTH_SNAP = 1e-10
@@ -291,9 +279,6 @@ class _RingCells:
         upper = (1.0 - fp) * v[2] + fp * v[3]
         return (1.0 - ft) * lower + ft * upper
 
-    def stencil(self, dirs: np.ndarray) -> np.ndarray:
-        return self.corners(self.locate(dirs)[0]).T
-
     def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         return self._blend(values, *self.locate(dirs))
 
@@ -344,7 +329,7 @@ class _NearestNodes:
     def __init__(self, grid: SphericalGrid) -> None:
         self.nodes = grid.nodes
         self.weights = grid.weights
-        self.width = min(8, grid.n)
+        self.k = min(8, grid.n)
 
     @functools.cached_property
     def _tree(self):
@@ -353,17 +338,14 @@ class _NearestNodes:
         return cKDTree(self.nodes)
 
     def _query(self, dirs: np.ndarray):
-        dist, idx = self._tree.query(dirs, k=self.width)
-        return dist.reshape(len(dirs), self.width), idx.reshape(len(dirs), self.width)
-
-    def stencil(self, dirs: np.ndarray) -> np.ndarray:
-        return self._query(dirs)[1]
+        dist, idx = self._tree.query(dirs, k=self.k)
+        return dist.reshape(len(dirs), self.k), idx.reshape(len(dirs), self.k)
 
     def interpolate(self, values: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         out = np.empty(len(dirs))
         # each row's query and weights are independent, so blocks give the
         # same bytes while the (rows, k) temporaries stay bounded
-        for rows in row_blocks(len(out), self.width):
+        for rows in row_blocks(len(out), self.k):
             dist, idx = self._query(dirs[rows])
             block = out[rows]
             exact = dist[:, 0] < 1e-12
@@ -434,12 +416,11 @@ class SphericalGrid:
         """The grid's node lookup, chosen once and cached on first use.
 
         Cell arithmetic on a lobatto3d product grid, angle cells in d = 2,
-        the 8 nearest nodes otherwise.  Each scheme has `width` and
-        stencil(dirs), the (rows, width) nodes a unit direction's
-        interpolant reads; interpolate(values, dirs); and sample(radii, n,
-        rng), directions with density proportional to rho^d for the node
-        radii rho (a body's radii give the direction law of its uniform,
-        gauge-induced and Gibbs laws, density.sample_polar).
+        the 8 nearest nodes otherwise.  Each scheme has interpolate(values,
+        dirs), the node values' interpolant at unit directions, and
+        sample(radii, n, rng), directions with density proportional to
+        rho^d for the node radii rho (a body's radii give the direction law
+        of its uniform, gauge-induced and Gibbs laws, density.sample_polar).
         """
         if self.descriptor.get("kind") == "lobatto3d":
             return _RingCells(self)
@@ -949,50 +930,6 @@ def radial_distance(K: StarBody, L: StarBody, grid: SphericalGrid) -> float:
     if K.dim != L.dim:
         raise ValueError("bodies must share one dimension")
     return float(np.max(np.abs(radial_on_grid(K, grid) - radial_on_grid(L, grid))))
-
-
-def star_union(parts) -> StarBody:
-    """Union body whose radial function is the pointwise maximum."""
-    return UnionBody(parts)
-
-
-def outer_radius_bound(r: float, d: int) -> float:
-    """Outer-radius cap (d+1) / (r^(d-1) * kappa_{d-1}) for unit-volume bodies
-    whose kernel contains r*B^d."""
-    if r <= 0:
-        raise ValueError("inner width r must be positive")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return (d + 1) / (r ** (d - 1) * unit_ball_volume(d - 1))
-
-
-def harmonic_blaschke(K: StarBody, L: StarBody, grid: SphericalGrid) -> RadialGridBody:
-    """Harmonic Blaschke combination of two star bodies.
-
-    The result M is the unique star body with
-    rho_M^(d+1) / vol(M) = rho_K^(d+1) / vol(K) + rho_L^(d+1) / vol(L);
-    it is constructed by scaling g = (sum)^(1/(d+1)) with c = (1/d) * integral
-    of g^d, which gives vol(M) = c^(d+1).
-    """
-    if K.dim != L.dim:
-        raise ValueError("bodies must share one dimension")
-    d = K.dim
-    g = (
-        radial_on_grid(K, grid) ** (d + 1) / volume(K, grid)
-        + radial_on_grid(L, grid) ** (d + 1) / volume(L, grid)
-    ) ** (1.0 / (d + 1))
-    c = np.dot(grid.weights, g**d) / d
-    return RadialGridBody(grid, c * g)
-
-
-def support_function(body: StarBody, dirs: np.ndarray, grid: SphericalGrid) -> np.ndarray:
-    """Grid approximation of the support function, max_j rho_j * <u_j, u>.
-
-    Diagnostic only; meaningful as a body descriptor just for convex bodies.
-    """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    rho = radial_on_grid(body, grid)
-    return np.max((grid.nodes * rho[:, None]) @ dirs.T, axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,16 +23,7 @@ from starbody.density import (
     mc_polar_integral,
     sample_polar,
 )
-from starbody.geometry import (
-    SphericalGrid,
-    StarBody,
-    body_from_dict,
-    body_to_dict,
-    grid_from_descriptor,
-    grid_to_descriptor,
-    make_grid,
-    volume,
-)
+from starbody.geometry import SphericalGrid, StarBody, make_grid, volume
 
 
 def log_normalizer(body: StarBody, grid: SphericalGrid, alpha: float = 1.0) -> float:
@@ -148,67 +138,8 @@ def gauge_ks_statistic(body: StarBody, samples: SampleSet) -> float:
     return float(max(d_plus, d_minus))
 
 
-@dataclass(frozen=True)
-class GibbsDensity:
-    """p_K with its normalizer cached at construction.
-
-    The grid fixes the volume quadrature; log_Z may be passed explicitly
-    (deserialization) and is recomputed otherwise.
-    """
-
-    body: StarBody
-    alpha: float = 1.0
-    grid: SphericalGrid = None
-    log_Z: float = field(default=None)
-
-    def __post_init__(self):
-        _validate_alpha(self.alpha)
-        if self.grid is None:
-            object.__setattr__(self, "grid", make_grid(self.body.dim))
-        if self.log_Z is None:
-            object.__setattr__(self, "log_Z", log_normalizer(self.body, self.grid, self.alpha))
-
-    @property
-    def dim(self) -> int:
-        return self.body.dim
-
-    def log_pdf(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return -self.body.gauge_many(pts) ** self.alpha - self.log_Z
-
-    def pdf(self, points) -> np.ndarray:
-        return np.exp(self.log_pdf(points))
-
-    def nll(self, data) -> float:
-        return expected_gauge(self.body, data, alpha=self.alpha, grid=self.grid) + self.log_Z
-
-    def sample(self, n: int, seed=0) -> SampleSet:
-        if self.alpha != 1.0:
-            raise ValueError("sampling supports alpha = 1 only")
-        return sample_gibbs(self.body, n, seed=seed, grid=self.grid)
-
-    def to_dict(self) -> dict:
-        return {
-            "body": body_to_dict(self.body),
-            "alpha": self.alpha,
-            "log_Z": self.log_Z,
-            "grid": grid_to_descriptor(self.grid),
-        }
-
-
-def gibbs_from_dict(data: dict) -> GibbsDensity:
-    return GibbsDensity(
-        body=body_from_dict(data["body"]),
-        alpha=float(data.get("alpha", 1.0)),
-        grid=grid_from_descriptor(data["grid"]),
-        log_Z=float(data["log_Z"]),
-    )
-
-
 __all__ = [
-    "GibbsDensity",
     "gauge_ks_statistic",
-    "gibbs_from_dict",
     "log_normalizer",
     "m_projection",
     "mc_normalizer_estimate",

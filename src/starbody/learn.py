@@ -4,9 +4,8 @@ Fitters for ellipsoids (majorize-minimize on the inverse-square matrix),
 dictionary polytopes (alternating facet-based sparse coding and dictionary
 descent), and unions of ellipsoids (min-gauge EM with one majorize-minimize
 step per part and round), plus the validation experiments: convergence to
-the population optimum, a uniform law-of-large-numbers probe, noise
-robustness against the smoothing bound, and train/held-out generalization
-gaps.
+the population optimum, noise robustness against the smoothing bound, and
+train/held-out generalization gaps.
 
 Every fitter records a non-increasing risk trace and keeps the fitted body's
 minimal radius at or above the configured inner width floor.  The
@@ -340,14 +339,6 @@ def fit_dictionary(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     )
 
 
-def dictionary_width_bound(body: DictionaryPolytopeBody, grid: SphericalGrid):
-    """(eta/sqrt(p), min_u ||A^T u||_inf): class inner-width bound and value."""
-    A = body.columns
-    eta = math.sqrt(float(np.linalg.eigvalsh(A @ A.T).min()))
-    width = float(np.abs(grid.nodes @ A).max(axis=1).min())
-    return eta / math.sqrt(A.shape[1]), width
-
-
 # ---------------------------------------------------------------------------
 # Union-of-ellipsoids family
 # ---------------------------------------------------------------------------
@@ -528,33 +519,6 @@ def convergence_experiment(
     )
 
 
-def lln_probe(
-    spec: DensitySpec,
-    bodies,
-    m_schedule,
-    seed: int = 0,
-    grid: SphericalGrid | None = None,
-):
-    """sup over a finite body family of |F(K;P_m) - F(K;P)| for each m.
-
-    The population risk is expected_gauge(K, spec, grid=grid), the
-    radial-statistic identity d * V~_{-1}(K, L_P) on `grid`, so only the
-    empirical side is random.  Returns the per-m sup deviations.
-    """
-    bodies = list(bodies)
-    m_schedule = [int(m) for m in m_schedule]
-    if grid is None:
-        grid = make_grid(spec.dim)
-    pop = np.array([expected_gauge(K, spec, grid=grid) for K in bodies])
-    children = np.random.SeedSequence(seed).spawn(len(m_schedule))
-    sups = []
-    for m, child in zip(m_schedule, children):
-        pts = sample_density(spec, m, seed=np.random.default_rng(child)).points
-        emp = np.array([K.gauge_many(pts).mean() for K in bodies])
-        sups.append(float(np.abs(emp - pop).max()))
-    return {"m_schedule": m_schedule, "sup_deviations": sups}
-
-
 def gaussian_norm_mean(dim: int) -> float:
     """E||z||_2 for a standard Gaussian: sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
     return math.sqrt(2.0) * math.exp(math.lgamma((dim + 1) / 2.0) - math.lgamma(dim / 2.0))
@@ -704,13 +668,11 @@ __all__ = [
     "NoiseReport",
     "RiskReport",
     "convergence_experiment",
-    "dictionary_width_bound",
     "fit",
     "fit_dictionary",
     "fit_ellipsoid",
     "fit_union_ellipsoids",
     "gaussian_norm_mean",
     "generalization_gap",
-    "lln_probe",
     "noise_robustness",
 ]

@@ -4,8 +4,7 @@ Turns a radial profile into the star body it defines and the unit-volume
 dilate that uniquely minimizes the expected gauge, diagnoses convexity of a
 body in any dimension (ellipsoids and polytopes by construction, any other
 body exactly from the convex hull of its boundary points on a grid),
-locates the convexity transition of the two-Gaussian mixture family, and
-estimates support bodies from samples.
+and locates the convexity transition of the two-Gaussian mixture family.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from starbody.density import RadialProfile, SampleSet, rho_analytic, two_gaussian_mixture
+from starbody.density import RadialProfile, rho_analytic, two_gaussian_mixture
 from starbody.geometry import (
     DictionaryPolytopeBody,
     DilateBody,
@@ -28,7 +27,6 @@ from starbody.geometry import (
     hull_facet_gradients,
     make_grid,
     radial_on_grid,
-    row_blocks,
     uniform_circle_grid,
     volume,
     volume_normalize,
@@ -183,53 +181,6 @@ def critical_epsilon_gmm(
     return 0.5 * (lo + hi)
 
 
-# ---------------------------------------------------------------------------
-# Support-body estimation
-# ---------------------------------------------------------------------------
-
-
-def support_body(samples: SampleSet, grid: SphericalGrid | None = None) -> RadialGridBody:
-    """Directional-max star hull of a sample set.
-
-    Every sample's norm raises the radial value of all the grid nodes its
-    direction's interpolant reads (grid.cells.stencil: the two of its angle
-    cell in d = 2, the four corners of its cell on a d = 3 product grid, its
-    8 nearest nodes otherwise), so the returned body contains every sample;
-    nodes left empty inherit the value of the raised node with the largest
-    inner product.
-    """
-    if grid is None:
-        grid = make_grid(samples.dim)
-    if samples.dim != grid.dim:
-        raise ValueError("samples and grid dimension mismatch")
-    if samples.m < samples.dim:
-        raise ValueError("need at least d samples")
-    X = samples.points
-    norms = np.linalg.norm(X, axis=1)
-    nz = norms > 0
-    if not np.any(nz):
-        raise ValueError("all samples are at the origin")
-    norms = norms[nz]
-    dirs = X[nz]
-    dirs /= norms[:, None]
-    radii = np.zeros(grid.n)
-    cells = grid.cells
-    # the max is order-free, so row blocks bound the (rows, width) stencils;
-    # (rows, width) against (rows, 1), as NumPy 2.4's ufunc.at misreads a
-    # (rows,) value array broadcast against (width, rows) indices
-    for rows in row_blocks(len(dirs), cells.width):
-        np.maximum.at(radii, cells.stencil(dirs[rows]), norms[rows, None])
-    empty = radii == 0
-    if np.any(empty):
-        filled = np.flatnonzero(~empty)
-        # the nearest node on the sphere has the largest inner product
-        lost, kept = grid.nodes[empty], grid.nodes[filled].T
-        blocks = row_blocks(len(lost), len(filled))
-        nearest = np.concatenate([np.argmax(lost[rows] @ kept, axis=1) for rows in blocks])
-        radii[empty] = radii[filled[nearest]]
-    return RadialGridBody(grid, radii)
-
-
 def risk_identity_residual(result: OptimalBodyResult, grid: SphericalGrid) -> float:
     """Relative gap between achieved_risk and d * vol(L_P)^((d+alpha)/d)."""
     d = grid.dim
@@ -244,6 +195,5 @@ __all__ = [
     "critical_epsilon_gmm",
     "optimal_body",
     "risk_identity_residual",
-    "support_body",
     "two_gaussian_mixture",
 ]

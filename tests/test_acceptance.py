@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 import starbody as sb

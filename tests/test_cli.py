@@ -39,9 +39,9 @@ def test_rho_gaussian_constant_profile(tmp_path):
     expected = (math.sqrt(math.pi / 2.0) / (2.0 * math.pi)) ** (1.0 / 3.0)
     assert meta["max_min_ratio"] == pytest.approx(1.0, abs=1e-12)
     assert meta["min_value"] == pytest.approx(expected, rel=1e-12)
-    profile = dn.RadialProfile.from_csv(out)
-    assert profile.grid.n == 256
-    assert np.allclose(profile.values, expected, rtol=1e-12)
+    rows, _ = dn.read_csv(out)
+    assert rows.shape[0] == 256
+    assert np.allclose(rows[:, -1], expected, rtol=1e-12)
 
 
 def test_rho_empirical_from_samples(tmp_path):
@@ -66,6 +66,33 @@ def test_rho_input_validation(tmp_path):
     assert run("rho", "--samples", tmp_path / "missing.csv", "--out", out) == 2
     assert run("rho", "--density", "bogus-name", "--out", out) == 2
     assert run("rho", "--density", "gmm-eps:abc", "--out", out) == 2
+
+
+def test_density_json_reads_grid_n(tmp_path):
+    # a JSON density's body-based parts use the --grid-n grid, as the
+    # shorthands do, also inside a mixture
+    l1 = {"type": "uniform_over_body", "body": ge.body_to_dict(ge.DictionaryPolytopeBody(np.eye(2)))}
+    (tmp_path / "l1.json").write_text(json.dumps(l1))
+    for density, out in (("uniform-l1-2d", "short.csv"), (tmp_path / "l1.json", "file.csv")):
+        assert run("rho", "--density", density, "--grid-n", 256, "--out", tmp_path / out) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "short.csv").read_bytes()
+
+    ellipse = ge.EllipsoidBody(np.diag([1.5, 0.7]))
+    mix = {"type": "mixture", "weights": [0.5, 0.3, 0.2], "components": [
+        {"type": "gaussian", "covariance": [[2.0, 0.4], [0.4, 1.0]]},
+        {"type": "gauge_induced", "body": ge.body_to_dict(ellipse), "profile": "gauss"},
+        l1,
+    ]}
+    (tmp_path / "mix.json").write_text(json.dumps(mix))
+    assert run("rho", "--density", tmp_path / "mix.json", "--grid-n", 256, "--out", tmp_path / "mix.csv") == 0
+    grid = ge.make_grid(2, 256)
+    spec = dn.MixtureDensity([0.5, 0.3, 0.2], [
+        dn.GaussianDensity(np.array([[2.0, 0.4], [0.4, 1.0]])),
+        dn.GaugeInducedDensity(ellipse, "gauss", grid),
+        dn.UniformOverBody(ge.DictionaryPolytopeBody(np.eye(2)), grid),
+    ])
+    dn.rho_analytic(spec, grid).to_csv(tmp_path / "lib.csv")
+    assert (tmp_path / "mix.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +561,12 @@ def test_product_grid_bodies_load_no_scipy():
     # cells come from arithmetic, so a d = 3 grid body needs no k-d tree;
     # check_convexity in d = 3 still builds a Qhull hull and is left out
     loaded = loaded_modules(
-        "import numpy as np; from starbody import density as dn, geometry as g, gibbs as gb, optimizer as op; "
+        "import numpy as np; from starbody import geometry as g, gibbs as gb; "
         "grid = g.make_grid(3, 512); "
         "body = g.RadialGridBody(grid, np.random.default_rng(0).uniform(0.5, 1.5, grid.n)); "
         "body.gauge_many(np.random.default_rng(1).normal(size=(100, 3))); "
         "draws = gb.sample_gibbs(body, 2000, seed=2, grid=grid); "
-        "gb.gauge_ks_statistic(body, draws); "
-        "op.support_body(draws, grid); op.support_body(dn.SampleSet(3, draws.points[:20]), grid)"
-    )
-    assert not scipy_modules(loaded)
-
-
-def test_planar_support_body_loads_no_scipy():
-    # nodes no sample reaches copy the nearest raised node by inner product
-    loaded = loaded_modules(
-        "import numpy as np; from starbody import density as dn, geometry as g, optimizer as op; "
-        "op.support_body(dn.SampleSet(2, np.random.default_rng(0).normal(size=(5, 2))), g.make_grid(2, 256))"
+        "gb.gauge_ks_statistic(body, draws)"
     )
     assert not scipy_modules(loaded)
 

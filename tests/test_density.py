@@ -376,22 +376,6 @@ def test_sample_set_csv_roundtrip(tmp_path):
     assert np.array_equal(back.points, s.points)
 
 
-def test_profile_csv_roundtrip_keeps_product_grid(tmp_path):
-    path = tmp_path / "profile.csv"
-    for grid in (sb.make_grid(3, 2048), sb.make_grid(3, 300)):
-        prof = dn.rho_analytic(dn.GaussianDensity(np.diag([4.0, 1.0, 0.25])), grid)
-        prof.to_csv(path)
-        back = dn.RadialProfile.from_csv(path)
-        assert back.grid.descriptor == grid.descriptor
-        assert sb.volume(back.body(), back.grid) == pytest.approx(sb.volume(prof.body(), grid), rel=1e-12, abs=0)
-    # nodes of no product grid still load, with equal weights
-    explicit = sb.SphericalGrid(3, grid.nodes[::-1], grid.weights[::-1], {"kind": "explicit"})
-    dn.RadialProfile(explicit, prof.values[::-1]).to_csv(path)
-    back = dn.RadialProfile.from_csv(path)
-    assert back.grid.descriptor == {"kind": "explicit"}
-    assert np.allclose(back.grid.weights, 4.0 * np.pi / grid.n, rtol=1e-14, atol=0)
-
-
 def test_sample_set_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0,oops\n")
@@ -482,8 +466,6 @@ def test_csv_readers_reject_empty_files_and_bad_headers(tmp_path):
     path.write_text("# dim=2\n\n")
     with pytest.raises(ValueError, match="no sample rows"):
         dn.SampleSet.from_csv(path)
-    with pytest.raises(ValueError, match="no profile rows"):
-        dn.RadialProfile.from_csv(path)
     path.write_text("1.0,2.0\n# dim=two\n")
     with pytest.raises(ValueError, match="line 2: malformed dim header"):
         dn.SampleSet.from_csv(path)
@@ -492,29 +474,7 @@ def test_csv_readers_reject_empty_files_and_bad_headers(tmp_path):
         dn.SampleSet.from_csv(path)
     path.write_text("0,1,0,1\n1,0,1,x\n")
     with pytest.raises(ValueError, match="line 2: non-numeric field"):
-        dn.RadialProfile.from_csv(path)
-
-
-def test_radial_profile_csv_roundtrip(tmp_path):
-    prof = dn.rho_analytic(dn.GaussianDensity(np.diag([3.0, 1.0])), GRID)
-    path = tmp_path / "p.csv"
-    prof.to_csv(path)
-    back = dn.RadialProfile.from_csv(path)
-    assert np.allclose(back.values, prof.values, rtol=1e-15)
-    assert back.grid.n == GRID.n
-
-
-def test_density_spec_serialization_roundtrip():
-    mix = dn.two_gaussian_mixture(0.4)
-    back = dn.density_from_dict(dn.density_to_dict(mix))
-    pts = np.random.default_rng(15).normal(size=(30, 2))
-    assert np.allclose(back.pdf(pts), mix.pdf(pts), rtol=1e-12)
-
-    gi = dn.GaugeInducedDensity(BALL, "gauss", GRID)
-    back = dn.density_from_dict(dn.density_to_dict(gi))
-    assert isinstance(back, dn.GaugeInducedDensity)
-    assert back.profile == "gauss"
-    assert np.allclose(back.pdf(pts), gi.pdf(pts), rtol=1e-6)
+        dn.SampleSet.from_csv(path)
 
 
 def test_two_gaussian_mixture_validation():

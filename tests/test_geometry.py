@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm, qmc
 
 import starbody as sb
-from starbody.geometry import _first_primes, low_discrepancy_sphere_grid, radial_on_grid, support_function
+from starbody.geometry import _first_primes, low_discrepancy_sphere_grid, radial_on_grid
 
 GRID2 = sb.make_grid(2, 1024)
 GRID3 = sb.make_grid(3, 2048)
@@ -157,7 +157,7 @@ def test_gauge_examples():
     assert sb.EllipsoidBody(np.diag([2.0, 1.0])).gauge([2.0, 0.0]) == pytest.approx(1.0)
     l1 = sb.DictionaryPolytopeBody(np.eye(2))
     assert l1.gauge([0.5, 0.5]) == pytest.approx(1.0, abs=1e-9)
-    union = sb.star_union([BALL2, sb.dilate(BALL2, 2.0)])
+    union = sb.UnionBody([BALL2, sb.dilate(BALL2, 2.0)])
     assert union.gauge([3.0, 0.0]) == pytest.approx(1.5)
 
 
@@ -263,7 +263,7 @@ def test_radial_grid_idw_same_bytes_in_row_blocks(d, monkeypatch):
     X = np.vstack([rng.normal(size=(3000, d)), 2.0 * grid.nodes[::5]])
     X = X[rng.permutation(len(X))]
     whole = body.gauge_many(X)
-    k = grid.cells.width  # the nearest-node scheme's k
+    k = grid.cells.k
     monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 7 * k)
     assert len(sb.geometry.row_blocks(len(X), k)) > 400
     assert body.gauge_many(X).tobytes() == whole.tobytes()
@@ -411,20 +411,20 @@ def test_radial_distance():
 def test_union_single_part():
     rng = np.random.default_rng(23)
     body = random_radial_body(rng)
-    union = sb.star_union([body])
+    union = sb.UnionBody([body])
     pts = rng.normal(size=(30, 2))
     assert np.allclose(union.gauge_many(pts), body.gauge_many(pts))
 
 
 def test_union_absorption():
-    union = sb.star_union([BALL2, sb.dilate(BALL2, 2.0)])
+    union = sb.UnionBody([BALL2, sb.dilate(BALL2, 2.0)])
     assert np.allclose(radial_on_grid(union, GRID2), 2.0)
 
 
 def test_union_eccentric_ellipsoids():
     e1 = sb.EllipsoidBody(np.diag([1.0, 0.05]))
     e2 = sb.EllipsoidBody(np.diag([0.05, 1.0]))
-    union = sb.star_union([e1, e2])
+    union = sb.UnionBody([e1, e2])
     assert union.radial([1.0, 0.0]) == pytest.approx(1.0)
     u = np.array([1.0, 1.0]) / np.sqrt(2)
     assert union.radial(u) == pytest.approx(max(e1.radial(u), e2.radial(u)), rel=1e-12)
@@ -433,7 +433,7 @@ def test_union_eccentric_ellipsoids():
 def test_union_gauge_is_min_of_parts():
     rng = np.random.default_rng(29)
     parts = [random_radial_body(rng) for _ in range(3)]
-    union = sb.star_union(parts)
+    union = sb.UnionBody(parts)
     got = radial_on_grid(union, GRID2)
     expected = np.maximum.reduce([radial_on_grid(p, GRID2) for p in parts])
     assert np.array_equal(got, expected)
@@ -441,72 +441,9 @@ def test_union_gauge_is_min_of_parts():
 
 def test_union_rejects_empty_and_mixed_dims():
     with pytest.raises(ValueError):
-        sb.star_union([])
+        sb.UnionBody([])
     with pytest.raises(ValueError):
-        sb.star_union([BALL2, sb.EllipsoidBody(np.eye(3))])
-
-
-# ---------------------------------------------------------------------------
-# Outer radius bound
-# ---------------------------------------------------------------------------
-
-
-def test_outer_radius_bound_values():
-    assert sb.outer_radius_bound(1.0, 2) == pytest.approx(1.5)
-    assert sb.outer_radius_bound(0.5, 2) == pytest.approx(3.0)
-    assert sb.outer_radius_bound(1.0, 3) == pytest.approx(4 / np.pi)
-    with pytest.raises(ValueError):
-        sb.outer_radius_bound(0.0, 2)
-
-
-def test_outer_radius_bound_holds_for_unit_volume_bodies():
-    rng = np.random.default_rng(31)
-    r = 0.5
-    for _ in range(10):
-        mats = []
-        for _ in range(2):
-            q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
-            diag = np.diag(rng.uniform(r, 1.5, size=2))
-            mats.append(q @ diag @ q.T)
-        body = sb.star_union([sb.EllipsoidBody(0.5 * (m + m.T) + r * np.eye(2)) for m in mats])
-        normed = sb.volume_normalize(body, GRID2)
-        scale = normed.factor
-        r_eff = r * scale  # the kernel ball rescales with the body
-        assert radial_on_grid(normed, GRID2).max() <= sb.outer_radius_bound(r_eff, 2) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Harmonic Blaschke combination
-# ---------------------------------------------------------------------------
-
-
-def test_harmonic_blaschke_of_equal_balls_is_dilate():
-    out = sb.harmonic_blaschke(BALL2, BALL2, GRID2)
-    assert np.allclose(out.radii, out.radii[0])
-    # rho^3 / vol = 2/pi at every node for the combination of two unit disks
-    lhs = out.radii[0] ** 3 / sb.volume(out, GRID2)
-    assert lhs == pytest.approx(2 / np.pi, rel=1e-9)
-
-
-def test_harmonic_blaschke_defining_identity():
-    rng = np.random.default_rng(37)
-    K = random_radial_body(rng)
-    L = random_radial_body(rng)
-    M = sb.harmonic_blaschke(K, L, GRID2)
-    lhs = M.radii**3 / sb.volume(M, GRID2)
-    rhs = radial_on_grid(K, GRID2) ** 3 / sb.volume(K, GRID2) + radial_on_grid(
-        L, GRID2
-    ) ** 3 / sb.volume(L, GRID2)
-    assert np.max(np.abs(lhs - rhs)) < 1e-6
-
-
-def test_harmonic_blaschke_commutes():
-    rng = np.random.default_rng(41)
-    K = random_radial_body(rng)
-    L = random_radial_body(rng)
-    a = sb.harmonic_blaschke(K, L, GRID2)
-    b = sb.harmonic_blaschke(L, K, GRID2)
-    assert np.max(np.abs(a.radii - b.radii)) < 1e-9
+        sb.UnionBody([BALL2, sb.EllipsoidBody(np.eye(3))])
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +459,7 @@ def _well_conditioned_body(rng, r):
         diag = np.diag(rng.uniform(r, 2.0, size=2))
         mats.append(q @ diag @ q.T)
     parts = [sb.EllipsoidBody(0.5 * (m + m.T) + r * 0.01 * np.eye(2)) for m in mats]
-    return sb.star_union(parts) if len(parts) > 1 else parts[0]
+    return sb.UnionBody(parts) if len(parts) > 1 else parts[0]
 
 
 def test_gauge_lipschitz_bound():
@@ -563,7 +500,7 @@ def bodies(draw):
             a /= np.linalg.norm(a, axis=0)
         return sb.DictionaryPolytopeBody(a)
     if kind == "union":
-        return sb.star_union([random_radial_body(rng), random_radial_body(rng)])
+        return sb.UnionBody([random_radial_body(rng), random_radial_body(rng)])
     return sb.dilate(random_radial_body(rng), rng.uniform(0.5, 2.0))
 
 
@@ -581,19 +518,6 @@ def test_gauge_homogeneity(body, t, seed):
 def test_radial_gauge_reciprocity(body, theta):
     u = np.array([np.cos(theta), np.sin(theta)])
     assert body.radial(u) * body.gauge(u) == pytest.approx(1.0, rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Support function diagnostic
-# ---------------------------------------------------------------------------
-
-
-def test_support_function_diagnostic():
-    h = support_function(BALL2, np.eye(2), GRID2)
-    assert np.allclose(h, 1.0, atol=1e-4)
-    ell = sb.EllipsoidBody(np.diag([2.0, 1.0]))
-    h = support_function(ell, np.array([[1.0, 0.0]]), GRID2)
-    assert h[0] == pytest.approx(2.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +541,7 @@ def test_all_types_json_roundtrip():
     bodies_ = [
         sb.EllipsoidBody(np.array([[2.0, 0.3], [0.3, 1.0]])),
         sb.DictionaryPolytopeBody(a),
-        sb.star_union([BALL2, sb.EllipsoidBody(np.diag([0.5, 1.5]))]),
+        sb.UnionBody([BALL2, sb.EllipsoidBody(np.diag([0.5, 1.5]))]),
         sb.dilate(random_radial_body(rng), 1.4),
     ]
     pts = rng.normal(size=(15, 2))

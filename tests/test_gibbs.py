@@ -115,7 +115,6 @@ def test_nll_on_a_spec_is_the_identity_plus_log_normalizer():
     identity = float(np.dot(GRID.weights, radial_on_grid(body, GRID) ** -1.0 * rho_p**3.0))
     expected = identity + gb.log_normalizer(body, GRID)
     assert gb.nll(body, spec, GRID) == expected
-    assert gb.GibbsDensity(body, grid=GRID).nll(spec) == expected
     _, values = gb.m_projection([body, body], spec, GRID)
     assert values.tolist() == [expected, expected]
 
@@ -265,36 +264,3 @@ def test_gauge_induced_laws_share_one_polar_sampler(d, kind, law):
         a = dn.UniformOverBody(body, grid).sample(2000, np.random.default_rng(7))
         b = dn.GaugeInducedDensity(body, "indicator", grid).sample(2000, np.random.default_rng(7))
     assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# GibbsDensity object
-# ---------------------------------------------------------------------------
-
-
-def test_gibbs_density_log_pdf_values():
-    body = random_body(50)
-    gd = gb.GibbsDensity(body, grid=GRID)
-    rho = radial_on_grid(body, GRID)
-    pts = 1.5 * rho[:3, None] * GRID.nodes[:3]
-    assert np.allclose(gd.log_pdf(pts), -1.5 - gd.log_Z, atol=1e-9)
-    assert np.allclose(gd.pdf(pts), math.exp(-1.5) * math.exp(-gd.log_Z), rtol=1e-9)
-
-
-def test_gibbs_density_alpha_restrictions():
-    body = random_body(51)
-    gd = gb.GibbsDensity(body, alpha=2.0, grid=GRID)
-    with pytest.raises(ValueError, match="alpha = 1"):
-        gd.sample(10)
-    with pytest.raises(ValueError):
-        gb.GibbsDensity(body, alpha=0.5, grid=GRID)
-
-
-def test_gibbs_density_round_trip():
-    body = random_body(52)
-    gd = gb.GibbsDensity(body, grid=GRID)
-    back = gb.gibbs_from_dict(gd.to_dict())
-    assert back.log_Z == pytest.approx(gd.log_Z, rel=1e-15)
-    pts = np.array([[0.3, -0.2], [1.0, 0.4]])
-    assert np.allclose(back.log_pdf(pts), gd.log_pdf(pts), rtol=1e-15)
-    assert np.array_equal(back.sample(64, seed=3).points, gd.sample(64, seed=3).points)

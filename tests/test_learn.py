@@ -230,14 +230,6 @@ def test_fit_dictionary_unit_columns():
     assert np.max(np.abs(norms - 1.0)) < 1e-14
 
 
-def test_fit_dictionary_width_invariant():
-    rng = np.random.default_rng(11)
-    samples = dn.SampleSet(2, rng.normal(size=(150, 2)))
-    report = ln.fit_dictionary(samples, ln.FitConfig(family="dictionary", p=4, max_iters=5))
-    lower, width = ln.dictionary_width_bound(report.body, GRID)
-    assert lower <= width + 1e-12
-
-
 def test_fit_dictionary_validation():
     samples = dn.SampleSet(2, np.random.default_rng(0).normal(size=(30, 2)))
     with pytest.raises(ValueError, match="p >= d"):
@@ -362,22 +354,6 @@ def test_convergence_experiment_distances_shrink():
     for r in report.reports:
         old = 2 * sb.dual_mixed_volume(r.body, l_p, -1.0, GRID)
         assert r.population_risk == pytest.approx(old, rel=4 * np.finfo(float).eps, abs=0)
-
-
-def test_lln_probe_decreases():
-    spec = dn.GaussianDensity(np.eye(2))
-    rng = np.random.default_rng(16)
-    bodies = [
-        sb.EllipsoidBody(np.diag(rng.uniform(0.5, 2.0, size=2))) for _ in range(6)
-    ]
-    out = ln.lln_probe(spec, bodies, [200, 50_000], seed=16, grid=GRID)
-    assert out["sup_deviations"][1] < out["sup_deviations"][0]
-    l_p = dn.rho_analytic(spec, GRID).body()
-    pop = np.array([2 * sb.dual_mixed_volume(K, l_p, -1.0, GRID) for K in bodies])
-    for m, child, sup in zip([200, 50_000], np.random.SeedSequence(16).spawn(2), out["sup_deviations"]):
-        pts = dn.sample_density(spec, m, seed=np.random.default_rng(child)).points
-        old = max(abs(K.gauge_many(pts).mean() - p) for K, p in zip(bodies, pop))
-        assert sup == pytest.approx(old, rel=0, abs=4 * np.finfo(float).eps * pop.max())
 
 
 def test_noise_robustness_bound():

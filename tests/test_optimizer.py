@@ -1,6 +1,4 @@
-"""Optimal bodies, convexity diagnostics, mixture transition, support hulls."""
-
-import tracemalloc
+"""Optimal bodies, convexity diagnostics, mixture transition."""
 
 import numpy as np
 import pytest
@@ -133,7 +131,7 @@ def cross_union(d):
     """Union of two thin ellipsoids along e1 and e2: a plus sign, not convex."""
     a, b = np.full(d, 0.05), np.full(d, 0.05)
     a[0] = b[1] = 1.0
-    return sb.star_union([sb.EllipsoidBody(np.diag(a)), sb.EllipsoidBody(np.diag(b))])
+    return sb.UnionBody([sb.EllipsoidBody(np.diag(a)), sb.EllipsoidBody(np.diag(b))])
 
 
 def test_convexity_ellipsoid():
@@ -284,100 +282,6 @@ def test_gmm_profile_validation():
         opt.critical_epsilon_gmm(sb.make_grid(3, 64))
 
 
-# ---------------------------------------------------------------------------
-# support_body
-# ---------------------------------------------------------------------------
-
-
-def test_support_body_circle_samples():
-    rng = np.random.default_rng(23)
-    theta = rng.uniform(0, 2 * np.pi, 5000)
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    body = opt.support_body(dn.SampleSet(2, pts), GRID)
-    assert np.all(np.abs(body.radii - 1.0) < 0.01)
-
-
-def permuted_circle(n=64):
-    """The uniform circle grid as an explicit grid whose nodes are not in
-    angle order."""
-    grid = sb.make_grid(2, n)
-    perm = np.random.default_rng(n).permutation(n)
-    return sb.SphericalGrid(2, grid.nodes[perm], grid.weights[perm], {"kind": "explicit"})
-
-
-def test_support_body_contains_all_samples():
-    rng = np.random.default_rng(29)
-    pts = rng.normal(size=(500, 2)) * np.array([2.0, 0.5])
-    for grid in (GRID, permuted_circle()):
-        body = opt.support_body(dn.SampleSet(2, pts), grid)
-        assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
-
-
-def test_support_body_l1_vertices():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    body = opt.support_body(dn.SampleSet(2, pts), GRID)
-    assert np.all(body.gauge_many(pts) <= 1.0 + 1e-9)
-
-
-def test_support_body_consistency_for_dense_samples():
-    rng = np.random.default_rng(31)
-    target = sb.RadialGridBody(GRID, 1.0 + 0.3 * np.cos(3 * GRID.angles()))
-    spec = dn.UniformOverBody(target, GRID)
-    dists = []
-    for m in (500, 20_000):
-        samples = dn.sample_density(spec, m, seed=rng.integers(2**31))
-        est = opt.support_body(samples, GRID)
-        dists.append(sb.radial_distance(est, target, GRID))
-    assert dists[1] < dists[0]
-
-
-def explicit_copy(grid):
-    """The same nodes and weights as an unstructured grid, which support_body
-    and RadialGridBody serve with the k-d tree's 8 nearest nodes."""
-    return sb.SphericalGrid(grid.dim, grid.nodes, grid.weights, {"kind": "explicit"})
-
-
-def check_3d_containment(grid3):
-    rng = np.random.default_rng(37)
-    # bulk samples, then samples in both polar caps (inside the first ring)
-    # and on the poles themselves, whose cells have the pole as two corners
-    cap = np.column_stack([0.05 * rng.normal(size=(400, 2)), np.sign(rng.normal(size=400))])
-    poles = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, -0.5]])
-    pts = np.vstack([rng.normal(size=(2000, 3)), cap * rng.uniform(0.5, 3.0, (400, 1)), poles])
-    for samples in (pts, pts[-30:]):
-        body = opt.support_body(dn.SampleSet(3, samples), grid3)
-        assert np.all(body.gauge_many(samples) <= 1.0 + 1e-12)
-
-
-def test_support_body_3d_containment():
-    check_3d_containment(sb.make_grid(3, 1024))
-
-
-def test_support_body_3d_containment_on_explicit_grid():
-    check_3d_containment(explicit_copy(sb.make_grid(3, 1024)))
-
-
-@pytest.mark.parametrize("grid", [GRID, sb.make_grid(3, 1024), sb.make_grid(4, 256), permuted_circle()],
-                         ids=["circle", "product", "halton", "permuted"])
-def test_support_body_fills_empty_nodes_from_nearest(grid):
-    from scipy.spatial import cKDTree
-
-    pts = np.random.default_rng(39).normal(size=(grid.dim + 3, grid.dim))
-    norms = np.linalg.norm(pts, axis=1)
-    radii = opt.support_body(dn.SampleSet(grid.dim, pts), grid).radii
-    # the nodes some sample raised hold that sample's norm or a larger one
-    raised = np.zeros(grid.n, dtype=bool)
-    raised[grid.cells.stencil(pts / norms[:, None])] = True
-    assert np.isin(radii[raised], norms).all()
-    # every other node copies a nearest raised node
-    dist, _ = cKDTree(grid.nodes[raised]).query(grid.nodes[~raised])
-    lost = grid.nodes[~raised]
-    source = np.flatnonzero(raised)
-    for node, value, best in zip(lost, radii[~raised], dist):
-        at = source[radii[raised] == value]
-        assert np.min(np.linalg.norm(grid.nodes[at] - node, axis=1)) <= best + 1e-12
-
-
 def test_bodies_on_one_grid_share_one_kd_tree(monkeypatch):
     import scipy.spatial
 
@@ -389,66 +293,7 @@ def test_bodies_on_one_grid_share_one_kd_tree(monkeypatch):
     pts = rng.normal(size=(50, 4))
     for _ in range(2):
         sb.RadialGridBody(grid, rng.uniform(0.5, 1.5, grid.n)).gauge_many(pts)
-    opt.support_body(dn.SampleSet(4, pts), grid)
     assert len(built) == 1
-
-
-def dense_support_radii(pts, grid):
-    """support_body's k-d tree node radii (Halton and explicit grids) with
-    all queries at once."""
-    from scipy.spatial import cKDTree
-
-    norms = np.linalg.norm(pts, axis=1)
-    _, idx = cKDTree(grid.nodes).query(pts / norms[:, None], k=8)
-    radii = np.zeros(grid.n)
-    for col in range(8):
-        np.maximum.at(radii, idx[:, col], norms)
-    return radii
-
-
-def test_support_body_same_radii_in_row_blocks(monkeypatch):
-    grid4 = sb.make_grid(4, 256)
-    pts = np.random.default_rng(41).normal(size=(5 * 100 + 3, 4))
-    dense = dense_support_radii(pts, grid4)
-    assert np.all(dense > 0)
-    grid3 = sb.make_grid(3, 256)
-    whole3 = opt.support_body(dn.SampleSet(3, pts[:, :3]), grid3).radii
-    # 100 directions per block: 5 full blocks and a 3-row tail
-    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 100 * 8)
-    blocked = opt.support_body(dn.SampleSet(4, pts), grid4).radii
-    assert blocked.tobytes() == dense.tobytes()
-    # the product grid's (rows, 4) corner blocks: 200 directions per block
-    blocked3 = opt.support_body(dn.SampleSet(3, pts[:, :3]), grid3).radii
-    assert blocked3.tobytes() == whole3.tobytes()
-
-
-def check_memory_bounded_by_row_blocks(grid3, monkeypatch):
-    """Python-side peak stays below two copies of the samples plus a few row
-    blocks, (rows, 4) cell corners on the product grid or (rows, k)
-    neighbours on an explicit grid, rather than growing as m x k."""
-    samples = dn.SampleSet(3, np.random.default_rng(43).normal(size=(100_000, 3)))
-    monkeypatch.setattr(sb.geometry, "CHUNK_ENTRIES", 1 << 13)
-    opt.support_body(samples, grid3)
-    tracemalloc.start()
-    try:
-        opt.support_body(samples, grid3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * samples.points.nbytes + 4 * 8 * sb.geometry.CHUNK_ENTRIES
-
-
-def test_support_body_memory_is_bounded_by_row_blocks(monkeypatch):
-    check_memory_bounded_by_row_blocks(sb.make_grid(3, 256), monkeypatch)
-
-
-def test_support_body_memory_is_bounded_on_explicit_grid(monkeypatch):
-    check_memory_bounded_by_row_blocks(explicit_copy(sb.make_grid(3, 256)), monkeypatch)
-
-
-def test_support_body_needs_enough_samples():
-    with pytest.raises(ValueError):
-        opt.support_body(dn.SampleSet(2, np.array([[1.0, 0.0]])), GRID)
 
 
 def test_optimal_body_result_serialization():

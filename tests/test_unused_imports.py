@@ -1,0 +1,42 @@
+"""Every module uses the names it imports (package re-exports aside)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "starbody").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_names(tree):
+    """(bound name, line) of every import outside `from __future__`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree):
+    """Names read anywhere, and the entries of __all__ (re-exports)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
