@@ -38,12 +38,9 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-DENSITY_SHORTHANDS = (
-    "gaussian-identity-2d",
-    "gmm-eps:<v>",
-    "uniform-ball-2d",
-    "uniform-l1-2d",
-)
+# the uniform shorthands: the "indicator" gauge-induced law of a unit ball
+UNIFORM_BODIES = {"uniform-ball-2d": ge.EllipsoidBody, "uniform-l1-2d": ge.DictionaryPolytopeBody}
+DENSITY_SHORTHANDS = ("gaussian-identity-2d", "gmm-eps:<v>", *UNIFORM_BODIES)
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +62,19 @@ def _plain(obj):
 
 
 def _write_atomic_with(writer, path) -> None:
-    """Write path atomically: writer(tmp) fills a temp file that is then renamed."""
+    """Write path atomically: writer(tmp) fills a temp file that is then renamed.
+
+    The file gets the mode open(path, "w") would give it, 0o666 less the
+    umask, rather than mkstemp's 0o600.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     os.close(fd)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         writer(tmp)
         os.replace(tmp, target)
     except BaseException:
@@ -139,12 +143,9 @@ def _parse_density(name: str, grid_n: int):
         return dn.GaussianDensity(np.eye(2))
     if name.startswith("gmm-eps:"):
         return dn.two_gaussian_mixture(float(name[len("gmm-eps:"):]))
-    if name == "uniform-ball-2d":
-        return dn.UniformOverBody(ge.EllipsoidBody(np.eye(2)), ge.make_grid(2, grid_n))
-    if name == "uniform-l1-2d":
-        return dn.UniformOverBody(
-            ge.DictionaryPolytopeBody(np.eye(2)), ge.make_grid(2, grid_n)
-        )
+    if name in UNIFORM_BODIES:
+        body = UNIFORM_BODIES[name](np.eye(2))
+        return dn.GaugeInducedDensity(body, "indicator", ge.make_grid(2, grid_n))
     path = Path(name)
     if path.suffix == ".json":
         return dn.density_from_dict(json.loads(path.read_text()), grid_n)
@@ -284,10 +285,14 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _random_star_body(rng, grid, n_modes: int = 4, base: float = 1.0):
+# cosine modes of the random planar bodies of the verify suites
+RANDOM_BODY_MODES = 4
+
+
+def _random_star_body(rng, grid, base: float = 1.0):
     theta = grid.angles()
     rho = np.full(grid.n, base)
-    for k in range(1, n_modes + 1):
+    for k in range(1, RANDOM_BODY_MODES + 1):
         rho += (rng.uniform(-0.35, 0.35) / k) * np.cos(k * theta + rng.uniform(0, 2 * np.pi))
     return ge.RadialGridBody(grid, np.clip(rho, 0.25, None))
 
@@ -506,7 +511,7 @@ def _reproduce_l2_supports(outdir: Path, grid) -> None:
     summary = {}
     for name, f_values in choices.items():
         region = dn.AnnularRegion(f_values, grid)
-        profile = region.analytic_profile(alpha=1.0)
+        profile = dn.rho_analytic(region, grid)
         base = str(outdir / f"l2_supports_{name}")
         _write_atomic_with(profile.to_csv, base + ".profile.csv")
         _write_boundary_csv(base + ".inner.csv", region.inner, grid)

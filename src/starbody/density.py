@@ -12,8 +12,9 @@ samples with a spherical kernel, and evaluates expected gauges
 (population and empirical risks).
 
 A star body K also induces the laws with density proportional to
-psi(||x||_K): GaugeInducedDensity, UniformOverBody (psi the indicator of
-t <= 1) and the Gibbs law exp(-||x||_K) of starbody.gibbs.  Their polar form
+psi(||x||_K): GaugeInducedDensity, whose "indicator" profile (psi the
+indicator of t <= 1) is the uniform law on K, and the Gibbs law
+exp(-||x||_K) of starbody.gibbs.  Their polar form
 is stated once, here: a table gives each profile's psi, its moments and its
 gauge law; sample_polar draws the direction with density proportional to
 rho_K^d and the gauge from that law; mc_polar_integral is the
@@ -26,7 +27,7 @@ import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,11 +184,10 @@ def _checked_data_lines(text: str) -> str:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """m points in R^d with optional ingestion metadata."""
+    """m finite points in R^d."""
 
     dim: int
     points: np.ndarray
-    source: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.ascontiguousarray(self.points, dtype=float)
@@ -212,7 +212,7 @@ class SampleSet:
         rows, dim = read_csv(path)
         if rows.shape[0] == 0:
             raise ValueError("no sample rows found")
-        return cls(rows.shape[1] if dim is None else dim, rows, {"path": str(path)})
+        return cls(rows.shape[1] if dim is None else dim, rows)
 
 
 @dataclass(frozen=True)
@@ -251,11 +251,13 @@ class RadialProfile:
 class DensitySpec:
     """Analytic density descriptor with a pdf and a sampler.
 
-    A GaussianDensity is sampled exactly, a MixtureDensity as exactly as its
-    components.  UniformOverBody and GaugeInducedDensity draw their gauge
-    law exactly, but their direction law comes from the grid interpolant
-    (sample_polar): it is exact only for a grid body on the d = 3 product
-    grid.
+    Every spec has a closed-form ray moment in _radial_moments, which
+    rho_analytic turns into its radial statistic.  A GaussianDensity is
+    sampled exactly, a MixtureDensity as exactly as its components.  A
+    GaugeInducedDensity draws its gauge law exactly, but its direction law
+    comes from the grid interpolant (sample_polar): it is exact only for a
+    grid body on the d = 3 product grid; an AnnularRegion's directions come
+    from the same grid cells.
     """
 
     dim: int
@@ -268,9 +270,9 @@ class DensitySpec:
 
 
 class GaussianDensity(DensitySpec):
-    """Multivariate normal; the mean must be zero for radial statistics."""
+    """Centered multivariate normal N(0, covariance)."""
 
-    def __init__(self, covariance, mean=None) -> None:
+    def __init__(self, covariance) -> None:
         cov = np.asarray(covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError("covariance must be square")
@@ -281,25 +283,18 @@ class GaussianDensity(DensitySpec):
             raise ValueError("covariance must be positive definite")
         self.dim = cov.shape[0]
         self.covariance = cov
-        self.mean = np.zeros(self.dim) if mean is None else np.asarray(mean, dtype=float)
-        if self.mean.shape != (self.dim,):
-            raise ValueError("mean must match the covariance dimension")
         self._chol = np.linalg.cholesky(cov)
         self._cov_inv = np.linalg.inv(cov)
         _, self._logdet = np.linalg.slogdet(cov)
 
-    @property
-    def centered(self) -> bool:
-        return not np.any(self.mean)
-
     def pdf(self, points: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(points) - self.mean
+        x = np.atleast_2d(points)
         q = np.einsum("ij,jk,ik->i", x, self._cov_inv, x)
         lognorm = -0.5 * (self.dim * math.log(2 * math.pi) + self._logdet)
         return np.exp(lognorm - 0.5 * q)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal((n, self.dim)) @ self._chol.T + self.mean
+        return rng.standard_normal((n, self.dim)) @ self._chol.T
 
 
 class MixtureDensity(DensitySpec):
@@ -401,31 +396,14 @@ def mc_polar_integral(
     return float(w.mean()), float(w.std() / math.sqrt(n))
 
 
-class UniformOverBody(DensitySpec):
-    """Uniform distribution over a star body: the "indicator" profile's law."""
-
-    def __init__(self, body: StarBody, grid: SphericalGrid | None = None) -> None:
-        self.dim = body.dim
-        self.body = body
-        self.grid = grid if grid is not None else make_grid(body.dim)
-        self.volume = volume(body, self.grid)
-
-    def pdf(self, points: np.ndarray) -> np.ndarray:
-        g = self.body.gauge_many(np.atleast_2d(points))
-        return _PROFILES["indicator"].psi(g) / self.volume
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return sample_polar(self.body, self.grid, "indicator", n, rng)
-
-
 class GaugeInducedDensity(DensitySpec):
     """Density p(x) = psi(||x||_L) / normalization for a star body L.
 
     Supported profiles psi: "exp" (e^-t), "gauss" (e^(-t^2/2)), "indicator"
-    (t <= 1).  The normalization is vol(L) * d * integral t^(d-1) psi(t) dt;
-    construction cross-checks it by importance-sampled Monte Carlo
-    (mc_polar_integral) and rejects discrepancies beyond 2%.  Draws come
-    from sample_polar.
+    (t <= 1: the uniform law on L).  The normalization is vol(L) * d *
+    integral t^(d-1) psi(t) dt; construction cross-checks it by
+    importance-sampled Monte Carlo (mc_polar_integral) and rejects
+    discrepancies beyond 2%.  Draws come from sample_polar.
     """
 
     def __init__(
@@ -477,8 +455,6 @@ def _leggauss(npts: int):
 def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndarray:
     """Per-node values of integral_0^inf r^(s-1) p(r u) dr."""
     if isinstance(spec, GaussianDensity):
-        if not spec.centered:
-            raise ValueError("radial statistics require a centered Gaussian")
         q = np.sqrt(np.einsum("ij,jk,ik->i", grid.nodes, spec._cov_inv, grid.nodes))
         lognorm = -0.5 * (spec.dim * math.log(2 * math.pi) + spec._logdet)
         return math.exp(lognorm) * _PROFILES["gauss"].moment(s) * q ** (-s)
@@ -487,12 +463,13 @@ def _radial_moments(spec: DensitySpec, grid: SphericalGrid, s: float) -> np.ndar
             w * _radial_moments(c, grid, s)
             for w, c in zip(spec.weights, spec.components)
         )
-    if isinstance(spec, UniformOverBody):
-        rho = radial_on_grid(spec.body, grid)
-        return rho**s / (s * spec.volume)
     if isinstance(spec, GaugeInducedDensity):
         rho = radial_on_grid(spec.body, grid)
         return rho**s * _PROFILES[spec.profile].moment(s) / spec.normalization
+    if isinstance(spec, AnnularRegion):
+        outer = radial_on_grid(spec.outer, grid)
+        inner = radial_on_grid(spec.inner, grid)
+        return (outer**s - inner**s) / (s * spec.volume)
     raise TypeError(f"unsupported density spec: {type(spec).__name__}")
 
 
@@ -505,7 +482,7 @@ def rho_analytic(spec: DensitySpec, grid: SphericalGrid, alpha: float = 1.0) -> 
     Parameters
     ----------
     spec : DensitySpec
-        Centered density descriptor (Gaussian means must be zero).
+        Density descriptor.
     grid : SphericalGrid
         Evaluation nodes.
     alpha : float
@@ -572,8 +549,8 @@ def rho_empirical(
     (8 MiB) whatever the sample count and grid size; only a grid of more
     than CHUNK_ENTRIES nodes needs more, one column of grid.n entries.
     """
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (0 < bandwidth < math.inf):
+        raise ValueError("bandwidth must be positive and finite")
     if samples.dim != grid.dim:
         raise ValueError("samples and grid dimension mismatch")
     X = samples.points
@@ -634,8 +611,7 @@ def expected_gauge(
     well below a 20,000-draw Monte Carlo error, but in d >= 4 the default
     Halton grid is off by 4e-3 to 7e-3 relative for a random Gaussian and
     ellipsoid at 1024 nodes (1e-3 or less at 4096), like log_normalizer on
-    the same grid.  Specs that rho_analytic rejects, such as a Gaussian with a
-    nonzero mean, raise its ValueError.
+    the same grid.
     """
     alpha = _validate_alpha(alpha)
     if isinstance(data, SampleSet):
@@ -657,12 +633,7 @@ def sample_density(spec: DensitySpec, n: int, seed=0) -> SampleSet:
     """n i.i.d. draws from a density spec as a SampleSet."""
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    pts = spec.sample(n, rng)
-    meta = {"spec": type(spec).__name__}
-    if not isinstance(seed, np.random.Generator):
-        meta["seed"] = seed
-    return SampleSet(spec.dim, pts, meta)
+    return SampleSet(spec.dim, spec.sample(n, np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +641,15 @@ def sample_density(spec: DensitySpec, n: int, seed=0) -> SampleSet:
 # ---------------------------------------------------------------------------
 
 
-class AnnularRegion:
-    """Planar annulus-like region f(u) <= ||x|| <= g(u) with unit ray mass.
+class AnnularRegion(DensitySpec):
+    """Uniform law on a planar region f(u) <= ||x|| <= g(u) with unit ray mass.
 
     The outer boundary g = (1 + f^(d+1))^(1/(d+1)) makes the ray integral of
     r^d constant in u, so the uniform distribution over the region has a
-    constant radial statistic regardless of the wiggle f.
+    constant radial statistic regardless of the wiggle f.  Its ray moment
+    is (rho_out^s - rho_in^s) / (s vol); a draw takes its direction from
+    the grid cells weighted by the shell's ray mass and its radius uniform
+    in r^d between the two boundaries.
     """
 
     def __init__(self, f_values, grid: SphericalGrid) -> None:
@@ -704,14 +678,7 @@ class AnnularRegion:
         inside = (self.outer.gauge_many(pts) <= 1.0) & (self.inner.gauge_many(pts) >= 1.0)
         return np.where(inside, 1.0 / self.volume, 0.0)
 
-    def analytic_profile(self, alpha: float = 1.0) -> RadialProfile:
-        alpha = _validate_alpha(alpha)
-        s = self.dim + alpha
-        moments = (self.outer.radii**s - self.inner.radii**s) / (s * self.volume)
-        return RadialProfile(self.grid, moments ** (1.0 / s), alpha)
-
-    def sample(self, n: int, seed=0) -> SampleSet:
-        rng = np.random.default_rng(seed)
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
         # cells.sample weighs a node by radius^d, here the shell's ray mass
         shell = self.outer.radii**d - self.inner.radii**d
@@ -719,7 +686,7 @@ class AnnularRegion:
         lo = self.inner.radial_many(dirs) ** d
         hi = self.outer.radial_many(dirs) ** d
         r = (lo + rng.random(n) * (hi - lo)) ** (1.0 / d)
-        return SampleSet(d, r[:, None] * dirs, {"spec": "AnnularRegion"})
+        return r[:, None] * dirs
 
 
 # ---------------------------------------------------------------------------
@@ -731,25 +698,24 @@ def density_from_dict(data: dict, grid_n: int) -> DensitySpec:
     """The density spec a JSON object describes.
 
     Uniform and gauge-induced parts, also inside a mixture, get their body's
-    make_grid(d, grid_n), the grid their volume and sampler use.
+    make_grid(d, grid_n), the grid their volume and sampler use; a uniform
+    part is the "indicator" gauge-induced law.  A Gaussian's optional
+    "mean" must be zero.
     """
     kind = data.get("type")
     if kind == "gaussian":
-        return GaussianDensity(
-            np.asarray(data["covariance"], dtype=float),
-            np.asarray(data["mean"], dtype=float) if "mean" in data else None,
-        )
+        if np.any(np.asarray(data.get("mean", 0.0), dtype=float)):
+            raise ValueError("radial statistics require a centered Gaussian")
+        return GaussianDensity(np.asarray(data["covariance"], dtype=float))
     if kind == "mixture":
         return MixtureDensity(
             np.asarray(data["weights"], dtype=float),
             [density_from_dict(c, grid_n) for c in data["components"]],
         )
-    if kind == "uniform_over_body":
+    if kind in ("uniform_over_body", "gauge_induced"):
         body = body_from_dict(data["body"])
-        return UniformOverBody(body, make_grid(body.dim, grid_n))
-    if kind == "gauge_induced":
-        body = body_from_dict(data["body"])
-        return GaugeInducedDensity(body, data["profile"], make_grid(body.dim, grid_n))
+        profile = "indicator" if kind == "uniform_over_body" else data["profile"]
+        return GaugeInducedDensity(body, profile, make_grid(body.dim, grid_n))
     raise ValueError(f"unknown density type: {kind!r}")
 
 

@@ -535,6 +535,8 @@ def low_discrepancy_sphere_grid(dim: int, n: int) -> SphericalGrid:
 
     if dim < 4:
         raise ValueError("use the dedicated constructors for dim 2 and 3")
+    if n < 1:
+        raise ValueError("need at least 1 node on the sphere")
     u = np.empty((n, dim))
     for j, base in enumerate(_first_primes(dim)):
         # radical inverse, digit by digit as in SciPy's qmc.Halton

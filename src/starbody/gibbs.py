@@ -102,11 +102,7 @@ def sample_gibbs(body: StarBody, n: int, seed=0, grid: SphericalGrid | None = No
         raise ValueError("need at least one sample")
     if grid is None:
         grid = make_grid(body.dim)
-    pts = sample_polar(body, grid, "exp", n, np.random.default_rng(seed))
-    meta = {"spec": "gibbs"}
-    if not isinstance(seed, np.random.Generator):
-        meta["seed"] = seed
-    return SampleSet(body.dim, pts, meta)
+    return SampleSet(body.dim, sample_polar(body, grid, "exp", n, np.random.default_rng(seed)))
 
 
 def _gamma_cdf(d: int, g: np.ndarray) -> np.ndarray:

@@ -47,6 +47,8 @@ from starbody.optimizer import optimal_body
 _FAMILIES = ("ellipsoid", "dictionary", "union_ellipsoids")
 # the dictionary descent's first trial step, halved until the step descends
 FIRST_TRIAL_STEP = 0.5
+# held-out samples per training sample in generalization_gap
+HELD_OUT_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,8 @@ class FitConfig:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if not (self.inner_width_floor > 0):
-            raise ValueError("inner width floor must be positive")
+        if not (0 < self.inner_width_floor < math.inf):
+            raise ValueError("inner width floor must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("need at least one iteration")
         if self.p is not None and self.p < 1:
@@ -160,9 +162,7 @@ def _ellipsoid_from_m(mat: np.ndarray) -> np.ndarray:
     return (vecs * vals**-0.5) @ vecs.T
 
 
-def fit_ellipsoid(
-    samples: SampleSet, cfg: FitConfig, init: EllipsoidBody | None = None
-) -> RiskReport:
+def fit_ellipsoid(samples: SampleSet, cfg: FitConfig) -> RiskReport:
     """Minimize mean ||A^{-1} x||_2 over symmetric A with det A = 1.
 
     Majorize-minimize on M = A^{-2}: sqrt(q) <= q / (2 sqrt(q_t)) +
@@ -171,9 +171,9 @@ def fit_ellipsoid(
     det M = 1 and the eigenvalue cap that enforces the inner width floor, so
     every step descends with no step size (a Tyler-type scatter
     M-estimator).  It stops when the risk falls by at most 1e-12 of the
-    first risk.  The default start water-fills the sample second moment;
-    pass `init` to warm-start.  The returned ellipsoid is scaled to unit
-    volume and the risk trace is reported in that same scale.
+    first risk.  It starts from the water-filled sample second moment.  The
+    returned ellipsoid is scaled to unit volume and the risk trace is
+    reported in that same scale.
     """
     X = _clean_points(samples)
     m, d = samples.m, samples.dim
@@ -186,12 +186,7 @@ def fit_ellipsoid(
     # the floor applies to the returned body; translate it to det A = 1 scale
     eig_cap = 1.0 / (cfg.inner_width_floor * scale_out) ** 2
 
-    if init is not None:
-        if not isinstance(init, EllipsoidBody):
-            raise TypeError("init must be an EllipsoidBody")
-        M, capped = _water_fill(init.matrix @ init.matrix, eig_cap)
-    else:
-        M, capped = _water_fill(X.T @ X, eig_cap)
+    M, capped = _water_fill(X.T @ X, eig_cap)
     events = ["eigenvalue floor hit at initialization"] if capped else []
 
     g = _quad_gauges(X, M)
@@ -564,7 +559,7 @@ def noise_robustness(
     ss = np.random.SeedSequence(seed).spawn(2)
     X = sample_density(spec, m, seed=np.random.default_rng(ss[0])).points
     Z = sample_density(noise, m, seed=np.random.default_rng(ss[1])).points
-    if isinstance(noise, GaussianDensity) and noise.centered and np.allclose(
+    if isinstance(noise, GaussianDensity) and np.allclose(
         noise.covariance, np.eye(spec.dim)
     ):
         e_norm = gaussian_norm_mean(spec.dim)
@@ -618,12 +613,11 @@ def generalization_gap(
     gamma: float = 0.1,
     seed: int = 0,
     trials: int = 10,
-    held_out_factor: int = 10,
 ) -> GenGapReport:
     """Train/held-out risk gaps across sample sizes and their rate shape.
 
     For each m and trial, fit on m fresh samples and evaluate on
-    held_out_factor * m held-out samples; gap = |train - held-out|.  The
+    HELD_OUT_FACTOR * m held-out samples; gap = |train - held-out|.  The
     slope of log mean-gap against log m summarizes the rate; gamma picks
     the reported high quantile of the per-trial gaps.
     """
@@ -640,7 +634,7 @@ def generalization_gap(
             held_child = children[2 * (i * trials + t) + 1]
             train = sample_density(spec, m, seed=np.random.default_rng(train_child))
             held = sample_density(
-                spec, held_out_factor * m, seed=np.random.default_rng(held_child)
+                spec, HELD_OUT_FACTOR * m, seed=np.random.default_rng(held_child)
             )
             report = fit(train, cfg)
             held_risk = expected_gauge(report.body, held)

@@ -113,14 +113,14 @@ def test_criterion_03_gaussian_optimum():
 def test_criterion_04_uniform_over_body_optimum():
     # l1 ball
     l1 = ge.DictionaryPolytopeBody(np.eye(2))
-    k_star = sb.optimal_body(dn.rho_analytic(dn.UniformOverBody(l1, GRID), GRID)).k_star
+    k_star = sb.optimal_body(dn.rho_analytic(dn.GaugeInducedDensity(l1, "indicator", GRID), GRID)).k_star
     expected = (1.0 / math.sqrt(2.0)) / np.abs(GRID.nodes).sum(axis=1)
     err_l1 = sup_rel_radial_error(k_star, expected)
     assert err_l1 <= 1e-4
     # random star body
     rng = np.random.default_rng(404)
     base = random_star_body(rng, GRID)
-    k_star = sb.optimal_body(dn.rho_analytic(dn.UniformOverBody(base, GRID), GRID)).k_star
+    k_star = sb.optimal_body(dn.rho_analytic(dn.GaugeInducedDensity(base, "indicator", GRID), GRID)).k_star
     rho0 = ge.radial_on_grid(base, GRID)
     expected = rho0 * ge.volume(base, GRID) ** -0.5
     err_star = sup_rel_radial_error(k_star, expected)
@@ -152,10 +152,10 @@ def test_criterion_06_annular_profiles_constant():
     ratios = {}
     for i, (name, f_values) in enumerate(choices.items()):
         region = dn.AnnularRegion(f_values, GRID)
-        values = region.analytic_profile(alpha=1.0).values
+        values = dn.rho_analytic(region, GRID).values
         ratio_analytic = float(values.max() / values.min())
         assert ratio_analytic <= 1.02
-        samples = region.sample(100_000, seed=600 + i)
+        samples = dn.sample_density(region, 100_000, seed=600 + i)
         emp = dn.rho_empirical(samples, GRID).values
         ratio_sampled = float(emp.max() / emp.min())
         assert ratio_sampled <= 1.05

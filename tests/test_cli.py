@@ -68,6 +68,41 @@ def test_rho_input_validation(tmp_path):
     assert run("rho", "--density", "gmm-eps:abc", "--out", out) == 2
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_grid_n_below_one_in_d4_exits_2(tmp_path, capsys, n):
+    data = tmp_path / "data.csv"
+    dn.SampleSet(4, np.random.default_rng(0).standard_normal((50, 4))).to_csv(data)
+    out = tmp_path / "body.json"
+    assert run("optimal", "--samples", data, "--grid-n", n, "--out", out) == 2
+    assert "need at least 1 node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_bandwidth_and_floor_exit_2_before_writing(tmp_path, capsys, value):
+    data = tmp_path / "data.csv"
+    dn.SampleSet(2, np.random.default_rng(1).standard_normal((200, 2))).to_csv(data)
+    out = tmp_path / "p.csv"
+    assert run("rho", "--samples", data, "--bandwidth", value, "--out", out) == 2
+    assert "bandwidth" in capsys.readouterr().err
+    body = tmp_path / "fit.json"
+    assert run("fit", "--data", data, "--floor", value, "--out", body) == 2
+    assert "floor" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_output_files_take_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        assert run("rho", "--density", "gaussian-identity-2d", "--grid-n", 64,
+                   "--out", tmp_path / "p.csv") == 0
+    finally:
+        os.umask(old)
+    for name in ("p.csv", "p.meta.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_density_json_reads_grid_n(tmp_path):
     # a JSON density's body-based parts use the --grid-n grid, as the
     # shorthands do, also inside a mixture
@@ -89,7 +124,7 @@ def test_density_json_reads_grid_n(tmp_path):
     spec = dn.MixtureDensity([0.5, 0.3, 0.2], [
         dn.GaussianDensity(np.array([[2.0, 0.4], [0.4, 1.0]])),
         dn.GaugeInducedDensity(ellipse, "gauss", grid),
-        dn.UniformOverBody(ge.DictionaryPolytopeBody(np.eye(2)), grid),
+        dn.GaugeInducedDensity(ge.DictionaryPolytopeBody(np.eye(2)), "indicator", grid),
     ])
     dn.rho_analytic(spec, grid).to_csv(tmp_path / "lib.csv")
     assert (tmp_path / "mix.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
@@ -269,7 +304,7 @@ def test_verify_gibbs_catches_radii_off_by_3_percent(tmp_path, monkeypatch):
 
     def scaled(*args, **kwargs):
         s = exact(*args, **kwargs)
-        return dn.SampleSet(s.dim, 1.03 * s.points, s.source)
+        return dn.SampleSet(s.dim, 1.03 * s.points)
 
     monkeypatch.setattr(cli.gb, "sample_gibbs", scaled)
     out = tmp_path / "g.json"
@@ -541,7 +576,7 @@ def test_import_leaves_heavy_scipy_submodules_unloaded():
     halton = loaded_modules(
         "import numpy as np; import starbody.cli; from starbody import density as dn, geometry as g, gibbs as gb; "
         "grid = g.make_grid(4, 256); body = g.EllipsoidBody(np.eye(4)); gb.sample_gibbs(body, 1000, grid=grid); "
-        "dn.UniformOverBody(body, grid).sample(1000, np.random.default_rng(0))"
+        "dn.GaugeInducedDensity(body, 'indicator', grid).sample(1000, np.random.default_rng(0))"
     )
     assert scipy_modules(halton) <= scipy_modules(loaded_modules("import scipy.special"))
     assert "scipy.special" in halton and "scipy.spatial" not in halton

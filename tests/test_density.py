@@ -65,16 +65,16 @@ def test_rho_gaussian_3d():
 
 
 def test_rho_uniform_ball():
-    spec = dn.UniformOverBody(BALL, GRID)
+    spec = dn.GaugeInducedDensity(BALL, "indicator", GRID)
     prof = dn.rho_analytic(spec, GRID)
     assert np.allclose(prof.values, (3 * np.pi) ** (-1 / 3), rtol=1e-6)
 
 
 def test_rho_uniform_scales_with_body_radial():
     body = sb.EllipsoidBody(np.array([[1.5, 0.2], [0.2, 0.8]]))
-    spec = dn.UniformOverBody(body, GRID)
+    spec = dn.GaugeInducedDensity(body, "indicator", GRID)
     prof = dn.rho_analytic(spec, GRID)
-    c = ((2 + 1) * spec.volume) ** (-1 / 3)
+    c = ((2 + 1) * spec.body_volume) ** (-1 / 3)
     assert np.allclose(prof.values, c * radial_on_grid(body, GRID), rtol=1e-9)
 
 
@@ -115,9 +115,12 @@ def test_rho_mixture_against_generic_ray_quadrature():
 
 
 def test_rho_rejects_noncentered_gaussian():
-    spec = dn.GaussianDensity(np.eye(2), mean=[1.0, 0.0])
+    # a GaussianDensity is centered; a density file's "mean" must be zero
+    data = {"type": "gaussian", "covariance": [[1.0, 0.0], [0.0, 1.0]], "mean": [1.0, 0.0]}
     with pytest.raises(ValueError, match="centered"):
-        dn.rho_analytic(spec, GRID)
+        dn.density_from_dict(data, GRID.n)
+    spec = dn.density_from_dict({**data, "mean": [0.0, 0.0]}, GRID.n)
+    assert np.array_equal(spec.covariance, np.eye(2))
 
 
 def test_rho_alpha_out_of_range():
@@ -231,7 +234,7 @@ def test_rho_empirical_rejects_bad_bandwidth_and_empty():
 
 def test_expected_gauge_uniform_disk():
     # E ||x|| = 2/3 under the uniform disk, exactly by the radial-statistic identity
-    spec = dn.UniformOverBody(BALL, GRID)
+    spec = dn.GaugeInducedDensity(BALL, "indicator", GRID)
     assert dn.expected_gauge(BALL, spec, grid=GRID) == pytest.approx(2 / 3, rel=0, abs=1e-12)
 
 
@@ -258,12 +261,6 @@ def test_expected_gauge_matches_dual_mixed_volume():
         assert dn.expected_gauge(body, spec) == identity
 
 
-def test_expected_gauge_rejects_uncentered_gaussian():
-    spec = dn.GaussianDensity(np.eye(2), mean=[0.5, 0.0])
-    with pytest.raises(ValueError, match="centered"):
-        dn.expected_gauge(BALL, spec)
-
-
 def test_expected_gauge_alpha_powers():
     samples = dn.SampleSet(2, np.array([[2.0, 0.0], [0.0, 0.5]]))
     assert dn.expected_gauge(BALL, samples, alpha=2.0) == pytest.approx((4 + 0.25) / 2)
@@ -282,7 +279,7 @@ def test_sample_gaussian_covariance():
 
 
 def test_sample_uniform_ball_radial_law():
-    spec = dn.UniformOverBody(BALL, GRID)
+    spec = dn.GaugeInducedDensity(BALL, "indicator", GRID)
     s = dn.sample_density(spec, 50_000, seed=6)
     frac = np.mean(np.linalg.norm(s.points, axis=1) <= 0.5)
     assert abs(frac - 0.25) < 0.01
@@ -335,7 +332,7 @@ def test_annular_region_profile_is_constant():
     reg = dn.AnnularRegion.from_function(
         lambda t: 0.3 + 0.2 * np.cos(4 * t), GRID
     )
-    prof = reg.analytic_profile()
+    prof = dn.rho_analytic(reg, GRID)
     assert prof.values.max() - prof.values.min() < 1e-12
     expected = ((2 + 1) * reg.volume) ** (-1 / 3)
     assert prof.values[0] == pytest.approx(expected, rel=1e-12)
@@ -343,7 +340,7 @@ def test_annular_region_profile_is_constant():
 
 def test_annular_region_pdf_and_samples():
     reg = dn.AnnularRegion.from_function(lambda t: 0.4 + 0.1 * np.sin(3 * t), GRID)
-    s = reg.sample(20_000, seed=12)
+    s = dn.sample_density(reg, 20_000, seed=12)
     norms = np.linalg.norm(s.points, axis=1)
     inner = reg.inner.gauge_many(s.points)
     outer = reg.outer.gauge_many(s.points)
@@ -355,7 +352,7 @@ def test_annular_region_pdf_and_samples():
 
 def test_annular_region_empirical_profile_constant():
     reg = dn.AnnularRegion.from_function(lambda t: 0.3 + 0.2 * np.cos(4 * t), GRID)
-    s = reg.sample(60_000, seed=13)
+    s = dn.sample_density(reg, 60_000, seed=13)
     prof = dn.rho_empirical(s, GRID)
     spread = (prof.values.max() - prof.values.min()) / prof.values.mean()
     assert spread < 0.05

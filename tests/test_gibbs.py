@@ -104,7 +104,7 @@ def test_optimal_dilate_rejects_degenerate_data():
 def test_optimal_dilate_uniform_disk():
     # E ||x||_B = 2/3 under the uniform disk, so the optimal dilate is 1/3
     ball = sb.EllipsoidBody(np.eye(2))
-    spec = dn.UniformOverBody(ball, GRID)
+    spec = dn.GaugeInducedDensity(ball, "indicator", GRID)
     assert gb.optimal_dilate(ball, spec) == pytest.approx(1 / 3, rel=0, abs=1e-12)
 
 
@@ -251,8 +251,9 @@ def test_sampler_determinism_and_validation():
 @pytest.mark.parametrize("kind", ["ellipsoid", "grid"])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gauge_induced_laws_share_one_polar_sampler(d, kind, law):
-    # p_K is the "exp" profile's law and the uniform law the "indicator"
-    # profile's, so equal Generators give the same bytes through either class
+    # p_K is the "exp" profile's law, and a density file's uniform law is the
+    # "indicator" profile's on make_grid(d, grid_n): equal Generators give the
+    # same bytes through the Gibbs sampler or the file's spec and the class
     grid = sb.make_grid(d, 1024)
     body = sb.EllipsoidBody(np.diag(np.linspace(1.5, 0.75, d)))
     if kind == "grid":
@@ -261,6 +262,7 @@ def test_gauge_induced_laws_share_one_polar_sampler(d, kind, law):
         a = dn.GaugeInducedDensity(body, "exp", grid).sample(2000, np.random.default_rng(7))
         b = gb.sample_gibbs(body, 2000, seed=np.random.default_rng(7), grid=grid).points
     else:
-        a = dn.UniformOverBody(body, grid).sample(2000, np.random.default_rng(7))
+        data = {"type": "uniform_over_body", "body": sb.body_to_dict(body)}
+        a = dn.density_from_dict(data, grid.n).sample(2000, np.random.default_rng(7))
         b = dn.GaugeInducedDensity(body, "indicator", grid).sample(2000, np.random.default_rng(7))
     assert np.array_equal(a, b)

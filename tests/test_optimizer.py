@@ -50,9 +50,9 @@ def test_optimal_body_gaussian_closed_form():
 def test_optimal_body_uniform_over_l1_ball():
     l1 = sb.DictionaryPolytopeBody(np.eye(2))
     grid = sb.make_grid(2, 512)
-    spec = dn.UniformOverBody(l1, grid)
+    spec = dn.GaugeInducedDensity(l1, "indicator", grid)
     res = opt.optimal_body(dn.rho_analytic(spec, grid))
-    expected = spec.volume**-0.5 * radial_on_grid(l1, grid)
+    expected = spec.body_volume**-0.5 * radial_on_grid(l1, grid)
     got = radial_on_grid(res.k_star, grid)
     assert np.max(np.abs(got - expected)) < 1e-4
 

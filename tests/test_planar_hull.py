@@ -79,7 +79,7 @@ def test_boundary_points_of_star_bodies():
 def test_l1_square_with_collinear_nodes(n):
     grid = sb.make_grid(2, n)
     square = sb.DictionaryPolytopeBody(np.eye(2))
-    spec = dn.UniformOverBody(square, grid)
+    spec = dn.GaugeInducedDensity(square, "indicator", grid)
     k_star = opt.optimal_body(dn.rho_analytic(spec, grid)).k_star
     for body in (square, k_star):
         vertices = assert_matches_qhull(boundary_points(body, grid))

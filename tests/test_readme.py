@@ -1,6 +1,7 @@
 """The README's examples run or parse as written."""
 
 import ast
+import builtins
 import inspect
 import re
 import shlex
@@ -37,8 +38,9 @@ def test_readme_command_lines_parse():
 def test_readme_names_resolve():
     # inline code only: a dotted name that starts with the package, one of
     # its modules or a class (any capitalized head) must resolve by getattr,
-    # and a bare snake_case name must be an attribute of a module or class,
-    # or a string literal of cli.py (the JSON keys of verify reports)
+    # a bare snake_case name must be an attribute of a module or class, or a
+    # string literal of cli.py (the JSON keys of verify reports), and a bare
+    # capitalized name must be a class of a module or a builtin
     modules = {m.__name__.split(".")[-1]: m for m in (ge, dn, op, gb, ln, cli)}
     classes = {name: obj for m in modules.values() for name, obj in vars(m).items()
                if inspect.isclass(obj) and obj.__module__ == m.__name__}
@@ -61,5 +63,8 @@ def test_readme_names_resolve():
                     unresolved.append(span)
         elif re.fullmatch(r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+", span):
             if span not in attributes and span not in literals:
+                unresolved.append(span)
+        elif re.fullmatch(r"[A-Z]\w+", span):
+            if span not in classes and not inspect.isclass(getattr(builtins, span, None)):
                 unresolved.append(span)
     assert not unresolved, f"README names what the package does not have: {unresolved}"

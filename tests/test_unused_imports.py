@@ -1,6 +1,8 @@
-"""Every module uses the names it imports (package re-exports aside)."""
+"""Every module uses the names it imports (package re-exports aside), and
+every name its __all__ lists exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,13 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "starbody").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_all_names_exist(path):
+    # a stale __all__ entry would also hide the unused import it names
+    module_name = "starbody" if path.stem == "__init__" else f"starbody.{path.stem}"
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name}'s __all__ names what it does not have: {missing}"
